@@ -226,7 +226,6 @@ def modified_step(state, ops, basis, s, orth_step):
 
     The polynomial block is projected twice against all basis columns
     except its own seed (the newest one), then replaced by its Q factor.
-    Two rank decisions can narrow the block before it is committed.
     Three rank decisions can narrow the block. Before the commit,
     columns from the first dead QR pivot on are dropped (past that
     point the Q factor holds no information about K, only arbitrary

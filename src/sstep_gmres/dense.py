@@ -1,10 +1,15 @@
 """Dense kernels: Householder QR, Givens rotations, one-sided Jacobi SVD.
 
+The solver's QR is LAPACK's (through numpy); the pivoted QR and Jacobi SVD
+behind the conditioning diagnostics stay in-package, so the measurements
+do not share a code path with what they measure.
+
 Everything downstream (block orthogonalization, the Arnoldi processes, the
 least-squares update, the conditioning diagnostics) builds on this module.
 All routines are deterministic for a fixed input on a fixed platform.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,11 +64,13 @@ def _as_matrix(m, name="m"):
 def householder_qr(m, deficiency_scale=None):
     """Thin Householder QR with a nonnegative R diagonal.
 
+    LAPACK dgeqrf + dorgqr through ``np.linalg.qr``.
+
     Parameters
     ----------
     m : (rows, cols) array, rows >= cols
     deficiency_scale : float, optional
-        Scale against which pivot collapse is judged. A pivot below
+        Scale against which pivot collapse is judged. A pivot at or below
         4 * sqrt(rows) * u * deficiency_scale marks the column deficient
         (the sqrt(rows) factor covers cancellation noise from eliminating
         an exactly dependent column). Defaults to ||m||_F. Block
@@ -85,51 +92,17 @@ def householder_qr(m, deficiency_scale=None):
     if cols == 0:
         return QrResult(np.zeros((rows, 0)), np.zeros((0, 0)), None)
 
-    work = np.array(a, order="F", copy=True)
     scale = float(deficiency_scale) if deficiency_scale is not None else float(np.linalg.norm(a))
     threshold = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF * scale
-
-    # Store the reflectors; vs[j] has length rows - j.
-    vs = []
-    deficient = None
-    for j in range(cols):
-        x = work[j:, j]
-        pivot = np.linalg.norm(x)
-        if pivot <= threshold and deficient is None:
-            deficient = j
-        if pivot == 0.0:
-            vs.append(None)
-            continue
-        beta = -np.copysign(pivot, x[0])
-        v = x.copy()
-        v[0] -= beta
-        vtv = v @ v
-        if vtv == 0.0:
-            vs.append(None)
-            work[j, j] = beta
-            continue
-        vs.append((v, vtv))
-        tail = work[j:, j + 1:]
-        if tail.shape[1]:
-            tail -= np.outer(v, (2.0 / vtv) * (v @ tail))
-        work[j, j] = beta
-        work[j + 1:, j] = 0.0
-
-    r = np.triu(work[:cols, :cols]).copy()
-
-    # Accumulate the thin Q by applying the reflectors to I in reverse.
-    q = np.zeros((rows, cols), order="F")
-    for j in range(cols):
-        q[j, j] = 1.0
-    for j in range(cols - 1, -1, -1):
-        if vs[j] is None:
-            continue
-        v, vtv = vs[j]
-        block = q[j:, :]
-        block -= np.outer(v, (2.0 / vtv) * (v @ block))
+    q, r = np.linalg.qr(a, mode="reduced")
+    # |R[j, j]| is the norm of column j's trailing part when its reflector
+    # is formed, i.e. the Householder pivot.
+    diag = np.diag(r)
+    dead = np.flatnonzero(np.abs(diag) <= threshold)
+    deficient = int(dead[0]) if dead.size else None
 
     # Sign convention: R diagonal nonnegative.
-    d = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    d = np.where(diag < 0.0, -1.0, 1.0)
     q *= d
     r *= d[:, None]
     return QrResult(q, r, deficient)
@@ -192,71 +165,31 @@ def _qrcp_r(a):
     return np.triu(work[:steps, :]) if rows >= cols else work[:steps, :]
 
 
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _jacobi_kernel(w, tol, max_sweeps):
-        """Cyclic one-sided Jacobi, in place. Sweeps used, negative if capped."""
-        n, k = w.shape
-        for sweep in range(max_sweeps):
-            rotations = 0
-            for p in range(k - 1):
-                for q in range(p + 1, k):
-                    app = 0.0
-                    aqq = 0.0
-                    apq = 0.0
-                    for i in range(n):
-                        wp = w[i, p]
-                        wq = w[i, q]
-                        app += wp * wp
-                        aqq += wq * wq
-                        apq += wp * wq
-                    if abs(apq) <= tol * np.sqrt(app) * np.sqrt(aqq):
-                        continue
-                    rotations += 1
-                    tau = (aqq - app) / (2.0 * apq)
-                    if tau == 0.0:
-                        t = 1.0
-                    else:
-                        t = (1.0 if tau > 0.0 else -1.0) / (
-                            abs(tau) + np.hypot(1.0, tau)
-                        )
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    for i in range(n):
-                        wp = w[i, p]
-                        wq = w[i, q]
-                        w[i, p] = c * wp - s * wq
-                        w[i, q] = s * wp + c * wq
-            if rotations == 0:
-                return sweep + 1
-        return -max_sweeps
-
-except ImportError:  # pragma: no cover - exercised only without numba
-    _jacobi_kernel = None
-
-
+@functools.lru_cache(maxsize=4)
 def _round_robin_schedule(k):
-    """Tournament pairing: k-1 rounds of disjoint column pairs covering all pairs."""
-    players = list(range(k))
-    if k % 2:
-        players.append(-1)
-    m = len(players)
+    """Tournament pairing: k-1 rounds of disjoint column pairs covering all pairs.
+
+    Returns read-only (ip, iq), one row per round: round r pairs column
+    ip[r, i] with iq[r, i]. This is the circle method: column 0 stays put
+    and the others rotate by one place per round; for odd k a dummy
+    column k sits out one pairing per round. A schedule takes O(k^2)
+    memory, so only the few most recent widths are cached: the s-wide
+    sub-block recurs on every diagnostics step, the growing widths never
+    do.
+    """
+    m = k + k % 2
     half = m // 2
-    rounds = []
-    arr = players[:]
-    for _ in range(m - 1):
-        left = arr[:half]
-        right = arr[half:][::-1]
-        ip, iq = [], []
-        for a, b in zip(left, right):
-            if a >= 0 and b >= 0:
-                ip.append(a)
-                iq.append(b)
-        rounds.append((np.array(ip), np.array(iq)))
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return rounds
+    r = np.arange(m - 1)
+    # in round r, seat j >= 1 holds column 1 + (j - 1 - r) mod (m - 1)
+    seats = np.zeros((m - 1, m), dtype=np.intp)
+    seats[:, 1:] = 1 + (r[None, :] - r[:, None]) % (m - 1)
+    ip, iq = seats[:, :half], seats[:, ::-1][:, :half]
+    real = (ip < k) & (iq < k)
+    ip = ip[real].reshape(m - 1, -1)
+    iq = iq[real].reshape(m - 1, -1)
+    ip.flags.writeable = False
+    iq.flags.writeable = False
+    return ip, iq
 
 
 def _jacobi_sweeps(w, tol, max_sweeps):
@@ -264,12 +197,10 @@ def _jacobi_sweeps(w, tol, max_sweeps):
     k = w.shape[1]
     if k < 2:
         return True
-    if _jacobi_kernel is not None:
-        return _jacobi_kernel(w, tol, max_sweeps) > 0
     schedule = _round_robin_schedule(k)
     for _ in range(max_sweeps):
         rotations = 0
-        for ip, iq in schedule:
+        for ip, iq in zip(*schedule):
             p = w[:, ip]
             q = w[:, iq]
             app = np.einsum("ij,ij->j", p, p)

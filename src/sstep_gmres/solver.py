@@ -243,6 +243,12 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
         raise ValueError("right-hand side has wrong shape")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
+    if preconditioner is not None and preconditioner.kind == "jacobi":
+        if preconditioner.diag.shape != (n,):
+            raise ValueError(
+                "jacobi preconditioner diagonal has shape %r, but the matrix has n=%d"
+                % (preconditioner.diag.shape, n)
+            )
     if config.s > n:
         raise ValueError("s cannot exceed the matrix dimension")
     if config.restart is not None and config.restart > n:

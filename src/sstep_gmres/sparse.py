@@ -34,13 +34,14 @@ class CsrMatrix:
 
     Rows are stored with strictly increasing column indices; values are
     finite. Construction validates the structure once so every consumer
-    can rely on it.
+    can rely on it, and stores ``row_idx``, the row of each stored entry.
     """
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    row_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
@@ -57,12 +58,15 @@ class CsrMatrix:
             raise ValueError("col_idx and values length mismatch")
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError("column index out of range")
-        for i in range(n):
-            cols = idx[ptr[i]:ptr[i + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError("row %d has unsorted or duplicate columns" % i)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))
+        unsorted = (rows[1:] == rows[:-1]) & (np.diff(idx) <= 0)
+        if unsorted.any():
+            raise ValueError(
+                "row %d has unsorted or duplicate columns" % int(rows[1:][unsorted][0])
+            )
         if val.size and not np.all(np.isfinite(val)):
             raise ValueError("matrix values must be finite")
+        object.__setattr__(self, "row_idx", rows)
 
     @property
     def nnz(self):
@@ -70,17 +74,14 @@ class CsrMatrix:
 
     def to_dense(self):
         out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        out[rows, self.col_idx] = self.values
+        out[self.row_idx, self.col_idx] = self.values
         return out
 
     def diagonal(self):
+        """Stored diagonal entries; 0 for rows that store none."""
         d = np.zeros(self.n)
-        for i in range(self.n):
-            s, e = self.row_ptr[i], self.row_ptr[i + 1]
-            k = np.searchsorted(self.col_idx[s:e], i)
-            if k < e - s and self.col_idx[s + k] == i:
-                d[i] = self.values[s + k]
+        on_diag = self.row_idx == self.col_idx
+        d[self.row_idx[on_diag]] = self.values[on_diag]
         return d
 
     def frobenius_norm(self):
@@ -234,27 +235,11 @@ def write_matrix_market(a, sink):
     try:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write("%d %d %d\n" % (a.n, a.n, a.nnz))
-        rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
-        for i, j, v in zip(rows, a.col_idx, a.values):
+        for i, j, v in zip(a.row_idx, a.col_idx, a.values):
             fh.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
     finally:
         if own:
             fh.close()
-
-
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _spmv_kernel(n, row_ptr, col_idx, values, x, y):
-        for i in range(n):
-            acc = 0.0
-            for k in range(row_ptr[i], row_ptr[i + 1]):
-                acc += values[k] * x[col_idx[k]]
-            y[i] = acc
-
-except ImportError:  # pragma: no cover
-    _spmv_kernel = None
 
 
 def spmv(a, x):
@@ -262,14 +247,11 @@ def spmv(a, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (a.n,):
         raise ValueError("vector length %r does not match n=%d" % (x.shape, a.n))
-    y = np.zeros(a.n)
     if a.nnz == 0:
-        return y
-    if _spmv_kernel is not None:
-        _spmv_kernel(a.n, a.row_ptr, a.col_idx, a.values, x, y)
-        return y
-    np.add.at(y, np.repeat(np.arange(a.n), np.diff(a.row_ptr)), a.values * x[a.col_idx])
-    return y
+        return np.zeros(a.n)  # bincount of no weights would return integers
+    # bincount adds the weights in index order, starting from 0.0, and the
+    # entries of a row are stored in column order
+    return np.bincount(a.row_idx, weights=a.values * x[a.col_idx], minlength=a.n)
 
 
 @dataclass(frozen=True)

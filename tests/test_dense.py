@@ -13,6 +13,7 @@ from sstep_gmres.dense import (
     householder_qr,
     jacobi_svd_values,
     normalize_columns,
+    _round_robin_schedule,
 )
 
 from helpers import matrix_with_cond, rng
@@ -80,6 +81,70 @@ class TestHouseholderQr:
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError):
             householder_qr(np.ones((2, 3)))
+
+
+def _graded_columns(rows, norms, seed):
+    """Columns with prescribed pivots: Q_0 times an upper triangle whose
+    diagonal is ``norms`` and whose strict upper part is O(1)."""
+    g = rng(seed)
+    q0, _ = np.linalg.qr(g.standard_normal((rows, len(norms))))
+    t = np.triu(g.standard_normal((len(norms), len(norms))), 1)
+    t[np.diag_indices(len(norms))] = norms
+    return q0 @ t
+
+
+class TestHouseholderQrContract:
+    """householder_qr against scipy.linalg.qr as an independent oracle."""
+
+    def test_pivot_magnitudes_agree_with_oracle(self):
+        for seed in range(6):
+            g = rng(40 + seed)
+            m = g.standard_normal((120, 8)) * np.geomspace(1.0, 1e-6, 8)
+            _, r, _ = householder_qr(m)
+            r_ref = scipy.linalg.qr(m, mode="economic")[1]
+            diff = np.abs(np.diag(r)) - np.abs(np.diag(r_ref))
+            assert np.max(np.abs(diff)) <= 8.0 * UNIT_ROUNDOFF * np.linalg.norm(m)
+
+    def test_zero_column_in_middle_of_block(self):
+        m = rng(5).standard_normal((64, 5))
+        m[:, 2] = 0.0
+        q, r, deficient = householder_qr(m)
+        assert deficient == 2
+        assert r[2, 2] == 0.0
+        assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-14
+        assert np.linalg.norm(q @ r - m) <= 1e-14 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize(
+        "norms,first",
+        [
+            ([1.0, 0.5, 1e-19, 1.0, 1e-19], 2),
+            ([1.0, 1e-19, 1.0, 1e-19, 1.0], 1),
+            ([1.0, 1.0, 1.0, 1.0, 1e-19], 4),
+            ([1.0, 1e-12, 1.0, 1e-11, 1.0], None),
+        ],
+    )
+    def test_first_pivot_at_or_below_threshold(self, norms, first):
+        m = _graded_columns(40, norms, seed=11)
+        threshold = 4.0 * np.sqrt(m.shape[0]) * UNIT_ROUNDOFF * np.linalg.norm(m)
+        pivots = np.abs(np.diag(scipy.linalg.qr(m, mode="economic")[1]))
+        # the graded pivots sit far from the threshold on either side
+        assert np.all((pivots <= threshold / 10.0) | (pivots >= 10.0 * threshold))
+        dead = np.flatnonzero(pivots <= threshold)
+        assert (int(dead[0]) if dead.size else None) == first
+        assert householder_qr(m).deficient_col == first
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 10, 31])
+    def test_rounds_are_disjoint_and_cover_each_pair_once(self, k):
+        ip, iq = _round_robin_schedule(k)
+        assert ip.shape == iq.shape == (k - 1 + k % 2, k // 2)
+        assert not ip.flags.writeable and not iq.flags.writeable
+        pairs = []
+        for p, q in zip(ip, iq):
+            assert len(set(p) | set(q)) == 2 * len(p)
+            pairs += [tuple(sorted(pq)) for pq in zip(p.tolist(), q.tolist())]
+        assert sorted(pairs) == [(a, b) for a in range(k) for b in range(a + 1, k)]
 
 
 class TestGivens:

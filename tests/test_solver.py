@@ -14,6 +14,7 @@ from sstep_gmres.solver import (
 )
 from sstep_gmres.solver import _LeastSquares
 from sstep_gmres.sparse import (
+    Preconditioner,
     RandSvdSpec,
     csr_from_dense,
     gen_randsvd,
@@ -186,6 +187,12 @@ class TestSolveBasics:
             SolverConfig(basis="legendre")
         with pytest.raises(ValueError, match="at least 1"):
             SolverConfig(s=0)
+
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_jacobi_preconditioner_length_must_match(self, length):
+        prec = Preconditioner("jacobi", np.full(length, 2.0))
+        with pytest.raises(ValueError, match=r"\(%d,\).*n=6" % length):
+            solve(np.eye(6), np.ones(6), preconditioner=prec)
 
     def test_nonfinite_data_rejected_or_aborts(self):
         a = np.diag([1e200, 1.0])

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from sstep_gmres.sparse import (
     CsrMatrix,
+    csr_from_coo,
     MatrixMarketError,
     Preconditioner,
     RandSvdSpec,
@@ -124,6 +125,29 @@ class TestCsr:
         dense = np.array([[2.0, 1.0], [0.0, 0.0]])
         assert_allclose(csr_from_dense(dense).diagonal(), [2.0, 0.0], atol=0.0)
 
+    @pytest.mark.parametrize(
+        "row_ptr,col_idx,row",
+        [
+            ([0, 1, 3, 5], [0, 2, 1, 0, 1], 1),  # unsorted in row 1
+            ([0, 1, 3, 5], [0, 1, 2, 1, 1], 2),  # duplicate in row 2
+            ([0, 2, 2, 4], [1, 0, 2, 0], 0),  # first of two bad rows
+        ],
+    )
+    def test_unsorted_or_duplicate_columns_name_the_row(self, row_ptr, col_idx, row):
+        with pytest.raises(ValueError, match="row %d has unsorted" % row):
+            CsrMatrix(3, row_ptr, col_idx, np.ones(len(col_idx)))
+
+    def test_descending_columns_across_rows_accepted(self):
+        a = CsrMatrix(3, [0, 1, 2, 3], [2, 1, 0], [1.0, 2.0, 3.0])
+        assert_allclose(a.to_dense(), np.fliplr(np.diag([1.0, 2.0, 3.0])), atol=0.0)
+
+    def test_diagonal_zero_where_no_entry_is_stored(self):
+        # row 0 stores only off-diagonals, row 2 is empty, row 3 stores 0.0
+        a = CsrMatrix(4, [0, 2, 4, 4, 6], [1, 3, 0, 1, 0, 3], [5.0, 6.0, 7.0, -2.0, 8.0, 0.0])
+        d = a.diagonal()
+        assert_allclose(d, [0.0, -2.0, 0.0, 0.0], atol=0.0)
+        assert np.array_equal(d, np.diag(a.to_dense()))
+
 
 class TestSpmv:
     def test_against_dense_oracle(self):
@@ -150,6 +174,32 @@ class TestSpmv:
         dense[1, 2] = 4.0
         a = csr_from_dense(dense)
         assert_allclose(spmv(a, np.ones(3)), [0.0, 4.0, 0.0], atol=0.0)
+
+    def test_bitwise_equal_to_row_by_row_reference(self):
+        g = rng(77)
+        n = 300
+        rows = g.integers(0, n, 2400)
+        rows = rows[rows % 7 != 3]  # every seventh row stays empty
+        cols = g.integers(0, n, rows.size)
+        vals = g.standard_normal(rows.size) * 10.0 ** g.integers(-8, 8, rows.size)
+        a = csr_from_coo(n, rows, cols, vals)
+        x = g.standard_normal(n)
+        expect = np.zeros(n)
+        for i in range(n):
+            acc = 0.0
+            for k in range(a.row_ptr[i], a.row_ptr[i + 1]):
+                acc += a.values[k] * x[a.col_idx[k]]
+            expect[i] = acc
+        got = spmv(a, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert np.all(got[3::7] == 0.0)
+
+    def test_no_stored_entries(self):
+        a = CsrMatrix(4, np.zeros(5, dtype=np.int64), [], [])
+        y = spmv(a, np.ones(4))
+        assert y.dtype == np.float64
+        assert np.array_equal(y, np.zeros(4))
 
     def test_identity(self):
         a = csr_from_dense(np.eye(4))
