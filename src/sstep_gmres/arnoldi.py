@@ -1,9 +1,11 @@
 """Block Arnoldi steps for s-step GMRES.
 
 Each outer step grows the orthonormal basis V by up to s columns: build a
-polynomial Krylov block K from the newest basis vector, map it through the
-right preconditioner (Z), the operator and the left preconditioner (W),
-then extend the shared QR factorization [r | W_1 | ... | W_i] = V R.
+polynomial Krylov block K from the newest basis vector, derive the
+candidate block B from it, map B through the operator and the left
+preconditioner (W = M^{-1} A B), then extend the shared QR factorization
+[r | W_1 | ... | W_i] = V R. The candidate blocks are also the solution
+directions: x = x0 + [B_1 | ... | B_i] y.
 
 ``classical_step`` feeds K directly as the candidate block. ``modified_step``
 first replaces K by the Q factor of its twice-projected complement against
@@ -40,7 +42,6 @@ class OperatorSet:
 
     matvec: Callable
     left_inv: Callable
-    right_inv: Callable
     basis_op: Callable
 
 
@@ -63,8 +64,8 @@ class StepReport:
 class ArnoldiState:
     """Basis, triangular factor, and per-step blocks of one restart cycle.
 
-    ``vr`` holds [r | W_1 | ... ] = V R; ``z`` the solution-space blocks
-    Z_k; ``b_concat`` the candidate blocks B_k for conditioning
+    ``vr`` holds [r | W_1 | ... ] = V R; ``b_concat`` the candidate blocks
+    B_k, which span the solution update and feed the conditioning
     diagnostics; ``w_colnorm2`` squared norms of the W columns as they
     entered the QR (the rank test scales against their running sum).
     """
@@ -73,7 +74,6 @@ class ArnoldiState:
         if not 1 <= max_inner <= n:
             raise ValueError("need 1 <= max_inner <= n")
         self.vr = QrState(n, max_inner + 1)
-        self.z = np.zeros((n, max_inner), order="F")
         self.b_concat = np.zeros((n, max_inner), order="F")
         self.w_colnorm2 = np.zeros(max_inner)
         self.inner_cols = 0
@@ -81,11 +81,11 @@ class ArnoldiState:
 
     @property
     def n(self):
-        return self.z.shape[0]
+        return self.b_concat.shape[0]
 
     @property
     def max_inner(self):
-        return self.z.shape[1]
+        return self.b_concat.shape[1]
 
     def seed(self, r, orth_step):
         """Install the start residual as the first basis column.
@@ -101,9 +101,6 @@ class ArnoldiState:
     def basis_columns(self):
         return self.vr.q[:, : self.vr.ncols]
 
-    def z_columns(self):
-        return self.z[:, : self.inner_cols]
-
     def b_columns(self):
         return self.b_concat[:, : self.inner_cols]
 
@@ -117,11 +114,9 @@ def _apply_columns(f, m):
 
 def _finish_step(state, ops, b, orth_step, projections=0, intra_qrs=0):
     width = b.shape[1]
-    z = _apply_columns(ops.right_inv, b)
-    w = _apply_columns(lambda x: ops.left_inv(ops.matvec(x)), z)
+    w = _apply_columns(lambda x: ops.left_inv(ops.matvec(x)), b)
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
-    state.z[:, start : start + width] = z
     state.w_colnorm2[start : start + width] = np.sum(w * w, axis=0)
     res = orth_step(state.vr, w)
     state.block_bounds.append((start, width))
@@ -266,8 +261,8 @@ def truncate_after_breakdown(state, keep_inner):
     """Shrink the cycle to its first ``keep_inner`` inner columns.
 
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
-    so [r | W] = V R still holds on the retained slice) and trims the Z
-    and candidate buffers to match. Used once, right before the final
+    so [r | W] = V R still holds on the retained slice) and trims the
+    candidate buffer to match. Used once, right before the final
     solution assembly of a cycle that hit a rank-deficient column.
     """
     if not 0 <= keep_inner <= state.inner_cols:

@@ -21,9 +21,6 @@ __all__ = [
     "leja_order",
 ]
 
-MAX_RITZ_COUNT = 64  # Hessenberg eigensolver is meant for warm-up sizes only
-
-
 @dataclass(frozen=True)
 class MonomialBasis:
     """p_j = x^j; the natural power basis."""
@@ -106,140 +103,18 @@ class ChebyshevParams(NamedTuple):
         return self.focal == 0.0
 
 
-def _eig_2x2(block):
-    """Eigenvalues of a real 2x2; complex results are exact conjugates."""
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        root = np.sqrt(disc)
-        lam1 = half_tr + root if half_tr >= 0.0 else half_tr - root
-        lam2 = det / lam1 if lam1 != 0.0 else half_tr - root
-        return [complex(lam1), complex(lam2)]
-    imag = np.sqrt(-disc)
-    return [complex(half_tr, imag), complex(half_tr, -imag)]
-
-
-def _house3(x, y, z):
-    """Reflector (v, beta) with (I - beta v v^T) [x,y,z]^T = [*,0,0]^T."""
-    s = abs(x) + abs(y) + abs(z)
-    if s == 0.0:
-        return None, 0.0
-    xs, ys, zs = x / s, y / s, z / s
-    alpha = np.sqrt(xs * xs + ys * ys + zs * zs)
-    if xs > 0.0:
-        alpha = -alpha
-    v0 = xs - alpha
-    v = np.array([v0, ys, zs])
-    vtv = v @ v
-    if vtv == 0.0:
-        return None, 0.0
-    return v, 2.0 / vtv
-
-
-def _francis_double_step(h, lo, hi, trace, det):
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - trace * h[lo, lo] + det
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - trace)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for k in range(lo, hi - 2):
-        v, beta = _house3(x, y, z)
-        if v is not None:
-            c0 = k - 1 if k > lo else lo
-            block = h[k:k + 3, c0:hi]
-            block -= np.outer(beta * v, v @ block)
-            r1 = min(k + 4, hi)
-            block = h[lo:r1, k:k + 3]
-            block -= np.outer(block @ v, beta * v)
-            if k > lo:
-                h[k + 1, k - 1] = 0.0
-                h[k + 2, k - 1] = 0.0
-        x = h[k + 1, k]
-        y = h[k + 2, k]
-        z = h[k + 3, k] if k + 3 < hi else 0.0
-    # flush the remaining 2x1 bulge with a Givens rotation
-    g = np.hypot(x, y)
-    if g != 0.0:
-        c, s = x / g, y / g
-        i0, i1 = hi - 2, hi - 1
-        c0 = hi - 3 if i0 > lo else lo
-        rows = h[[i0, i1], c0:hi]
-        h[i0, c0:hi] = c * rows[0] + s * rows[1]
-        h[i1, c0:hi] = -s * rows[0] + c * rows[1]
-        cols = h[lo:hi, [i0, i1]]
-        h[lo:hi, i0] = c * cols[:, 0] + s * cols[:, 1]
-        h[lo:hi, i1] = -s * cols[:, 0] + c * cols[:, 1]
-        if i0 > lo:
-            h[i1, hi - 3] = 0.0
-
-
-def _hessenberg_eigenvalues(h):
-    """Eigenvalues of a real upper Hessenberg matrix, Francis double-shift QR.
-
-    Deflation uses the threshold u * (|h_ii| + |h_i+1,i+1|); stalls get the
-    classic exceptional shift every 10 iterations.
-    """
-    h = np.array(h, dtype=float)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError("need a square matrix")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    eigs = []
-    hi = n
-    stuck = 0
-    budget = 40 * n + 100
-    while hi > 0:
-        if hi == 1:
-            eigs.append(complex(h[0, 0]))
-            hi = 0
-            break
-        lo = hi - 1
-        while lo > 0:
-            tiny = UNIT_ROUNDOFF * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if abs(h[lo, lo - 1]) <= tiny:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi - 1:
-            eigs.append(complex(h[lo, lo]))
-            hi -= 1
-            stuck = 0
-        elif lo == hi - 2:
-            eigs.extend(_eig_2x2(h[lo:hi, lo:hi]))
-            hi -= 2
-            stuck = 0
-        else:
-            if stuck > 0 and stuck % 10 == 0:
-                # exceptional shift (EISPACK hqr form)
-                w = abs(h[hi - 1, hi - 2]) + abs(h[hi - 2, hi - 3])
-                trace = 1.5 * w
-                det = w * w
-            else:
-                trace = h[hi - 2, hi - 2] + h[hi - 1, hi - 1]
-                det = (
-                    h[hi - 2, hi - 2] * h[hi - 1, hi - 1]
-                    - h[hi - 2, hi - 1] * h[hi - 1, hi - 2]
-                )
-            _francis_double_step(h, lo, hi, trace, det)
-            stuck += 1
-            budget -= 1
-            if budget <= 0:
-                raise ArithmeticError("eigenvalue iteration stalled")
-    return np.array(eigs, dtype=complex)
-
-
 def compute_ritz_values(apply_operator, r, s):
     """Ritz values from s steps of standard Arnoldi started at r.
 
     ``apply_operator`` must realize the preconditioned operator
-    x -> M_L^{-1} A M_R^{-1} x. Early Arnoldi breakdown pads the value
-    list by repeating the last value (conjugate pairs are repeated
+    x -> M^{-1} A x. The values are the eigenvalues of the Arnoldi
+    Hessenberg matrix (LAPACK dgeev, whose complex values come in exact
+    conjugate pairs for real input). Early Arnoldi breakdown pads the
+    value list by repeating the last value (conjugate pairs are repeated
     together so the set stays closed under conjugation).
     """
-    if not 1 <= s <= MAX_RITZ_COUNT:
-        raise ValueError("s must be in 1..%d, got %d" % (MAX_RITZ_COUNT, s))
+    if s < 1:
+        raise ValueError("s must be positive, got %d" % s)
     r = np.asarray(r, dtype=float)
     beta = np.linalg.norm(r)
     if beta == 0.0:
@@ -264,7 +139,7 @@ def compute_ritz_values(apply_operator, r, s):
         if hnext <= 100.0 * UNIT_ROUNDOFF * max(scale, 1e-300):
             break
         v[:, j + 1] = w / hnext
-    vals = list(_hessenberg_eigenvalues(hess[:steps, :steps]))
+    vals = list(np.linalg.eigvals(hess[:steps, :steps]).astype(complex))
     while len(vals) < s:
         last = vals[-1]
         if last.imag != 0.0:

@@ -22,6 +22,7 @@ from .solver import SolverConfig, solve
 from .sparse import (
     MatrixMarketError,
     RandSvdSpec,
+    csr_from_coo,
     csr_from_dense,
     gen_randsvd,
     jacobi_preconditioner,
@@ -273,11 +274,17 @@ def _run_gen(args):
 
 
 def _is_symmetric(a):
-    entries = {}
-    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
-    for i, j, v in zip(rows, a.col_idx, a.values):
-        entries[(int(i), int(j))] = float(v)
-    return all(entries.get((j, i)) == v for (i, j), v in entries.items())
+    """Every stored entry has an equal stored mirror: A equals its transpose.
+
+    A stored entry whose mirror is not stored counts as asymmetric even
+    when its value is zero, so the stored patterns must match too.
+    """
+    t = csr_from_coo(a.n, a.col_idx, a.row_idx, a.values)
+    return (
+        np.array_equal(a.row_ptr, t.row_ptr)
+        and np.array_equal(a.col_idx, t.col_idx)
+        and np.array_equal(a.values, t.values)
+    )
 
 
 def _run_info(args):

@@ -24,7 +24,6 @@ __all__ = [
     "cond2",
     "householder_qr",
     "jacobi_svd_values",
-    "normalize_columns",
 ]
 
 # Unit roundoff of binary64. Note np.finfo(float).eps is 2u.
@@ -277,17 +276,3 @@ def cond2(m):
     if sigma[-1] <= floor:
         return np.inf
     return float(sigma[0] / sigma[-1])
-
-
-def normalize_columns(m):
-    """Scale each column to unit 2-norm.
-
-    Returns (m_normalized, d) with m = m_normalized @ diag(d). A zero
-    column cannot be normalized and raises ValueError naming its index.
-    """
-    a = _as_matrix(m)
-    d = np.linalg.norm(a, axis=0)
-    zero = np.flatnonzero(d == 0.0)
-    if zero.size:
-        raise ValueError("column %d has zero norm" % int(zero[0]))
-    return a / d, d

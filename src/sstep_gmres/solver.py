@@ -200,9 +200,16 @@ class _LeastSquares:
         return y
 
 
+def _reject_complex(v, what):
+    # casting would keep only the real parts and solve a different system
+    if np.iscomplexobj(v):
+        raise ValueError("%s must be real, not complex" % what)
+
+
 def _system_operators(a):
     if isinstance(a, CsrMatrix):
         return (lambda x: spmv(a, x)), a.frobenius_norm(), a.n
+    _reject_complex(a, "matrix")
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -232,23 +239,32 @@ def _check_finite(x):
 def solve(a, b, x0=None, config=None, preconditioner=None):
     """Run restarted s-step GMRES on A x = b.
 
-    ``a`` is a CsrMatrix or a square ndarray; ``preconditioner`` applies
-    from the left (the right slot stays the identity). Returns a
+    ``a`` is a CsrMatrix or a square real ndarray; ``b`` and ``x0`` are
+    real and finite. ``preconditioner`` applies from the left. Returns a
     SolveResult whose records hold one diagnostics row per block step.
     """
     config = config or SolverConfig()
     matvec, a_fro, n = _system_operators(a)
+    _reject_complex(b, "right-hand side")
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side has wrong shape")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    if preconditioner is not None and preconditioner.kind == "jacobi":
-        if preconditioner.diag.shape != (n,):
-            raise ValueError(
-                "jacobi preconditioner diagonal has shape %r, but the matrix has n=%d"
-                % (preconditioner.diag.shape, n)
-            )
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        _reject_complex(x0, "x0")
+        x = np.array(x0, dtype=float)
+        if x.shape != (n,):
+            raise ValueError("x0 has wrong shape")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x0 must be finite")
+    if preconditioner is not None and preconditioner.diag.shape != (n,):
+        raise ValueError(
+            "jacobi preconditioner diagonal has shape %r, but the matrix has n=%d"
+            % (preconditioner.diag.shape, n)
+        )
     if config.s > n:
         raise ValueError("s cannot exceed the matrix dimension")
     if config.restart is not None and config.restart > n:
@@ -260,12 +276,9 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     tol_ls = config.tol_ls if config.tol_ls is not None else tol
 
     left_inv = lambda x: apply_preconditioner_inverse(preconditioner, x)
-    right_inv = lambda x: x
-    ritz_op = lambda x: left_inv(matvec(right_inv(x)))
+    ritz_op = lambda x: left_inv(matvec(x))
     basis_op = matvec if config.basis_operator == "plain" else ritz_op
-    ops = OperatorSet(
-        matvec=matvec, left_inv=left_inv, right_inv=right_inv, basis_op=basis_op
-    )
+    ops = OperatorSet(matvec=matvec, left_inv=left_inv, basis_op=basis_op)
     step_fn = classical_step if config.arnoldi == "classical" else modified_step
     orth_step = bcgsi_plus_step if config.orth == "bcgsi+" else bmgs_step
 
@@ -277,10 +290,6 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     if restarted and max_cycles is None:
         max_cycles = -(-n // max_inner)
     max_steps = None if restarted else config.max_outer
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError("x0 has wrong shape")
 
     records = []
     final_status = None
@@ -337,7 +346,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 truncate_after_breakdown(state, broke_at)
 
             y = ls.coefficients()
-            x_hat = x + state.z[:, : ls.ncols] @ y
+            x_hat = x + state.b_concat[:, : ls.ncols] @ y
             _check_finite(x_hat)
             b_err = backward_error(matvec, a_fro, b, x_hat)
             x_cycle = x_hat

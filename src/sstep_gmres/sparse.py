@@ -15,7 +15,6 @@ __all__ = [
     "RandSvdSpec",
     "apply_preconditioner_inverse",
     "gen_randsvd",
-    "identity_preconditioner",
     "jacobi_preconditioner",
     "parse_matrix_market",
     "right_singular_vector",
@@ -44,6 +43,8 @@ class CsrMatrix:
     row_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("matrix values must be real, not complex")
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
         object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -256,23 +257,18 @@ def spmv(a, x):
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Diagonal (Jacobi) or identity preconditioner."""
+    """Diagonal (Jacobi) preconditioner; ``None`` means no preconditioner."""
 
-    kind: str  # "none" | "jacobi"
+    kind: str  # "jacobi"
     diag: "np.ndarray | None" = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "jacobi"):
+        if self.kind != "jacobi":
             raise ValueError("unknown preconditioner kind %r" % self.kind)
-        if self.kind == "jacobi":
-            d = np.asarray(self.diag, dtype=float)
-            if np.any(d == 0.0) or not np.all(np.isfinite(d)):
-                raise ValueError("jacobi preconditioner needs a nonzero finite diagonal")
-            object.__setattr__(self, "diag", d)
-
-
-def identity_preconditioner():
-    return Preconditioner("none")
+        d = np.asarray(self.diag, dtype=float)
+        if np.any(d == 0.0) or not np.all(np.isfinite(d)):
+            raise ValueError("jacobi preconditioner needs a nonzero finite diagonal")
+        object.__setattr__(self, "diag", d)
 
 
 def jacobi_preconditioner(a):
@@ -284,8 +280,8 @@ def jacobi_preconditioner(a):
 
 
 def apply_preconditioner_inverse(p, x):
-    """M^{-1} x for the given preconditioner (identity returns x untouched)."""
-    if p is None or p.kind == "none":
+    """M^{-1} x for the given preconditioner (``None`` returns x untouched)."""
+    if p is None:
         return x
     return x / p.diag
 

@@ -127,7 +127,7 @@ def test_criterion_3_span_equivalence():
 
         matvec = lambda x: a @ x
         ident = lambda x: x
-        ops = OperatorSet(matvec=matvec, left_inv=ident, right_inv=ident, basis_op=matvec)
+        ops = OperatorSet(matvec=matvec, left_inv=ident, basis_op=matvec)
         basis = _resolve_basis(cfg, matvec, r, s)
         state = ArnoldiState(n, n)
         state.seed(r, bcgsi_plus_step)

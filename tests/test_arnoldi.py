@@ -21,7 +21,7 @@ from helpers import matrix_with_cond, max_principal_angle, rng
 def identity_ops(a):
     mv = lambda x: a @ x
     ident = lambda x: x
-    return OperatorSet(matvec=mv, left_inv=ident, right_inv=ident, basis_op=mv)
+    return OperatorSet(matvec=mv, left_inv=ident, basis_op=mv)
 
 
 def run_cycle(a, r, s, steps, step_fn, basis=None, ops=None, orth=bcgsi_plus_step):
@@ -50,15 +50,15 @@ class TestClassicalStep:
         )
 
     def test_arnoldi_relation(self):
-        # [r | W] = V R implies A Z = V H with H = R columns 2..p
+        # [r | W] = V R implies A B = V H with H = R columns 2..p
         a = matrix_with_cond(30, 30, 1e2, seed=3)
         r = rng(4).standard_normal(30)
         state, _, _ = run_cycle(a, r, 4, 3, classical_step)
         v = state.basis_columns()
         h = hess_from_state(state)
-        az = a @ state.z_columns()
-        resid = np.linalg.norm(az - v @ h)
-        assert resid <= 1e-12 * np.linalg.norm(az)
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - v @ h)
+        assert resid <= 1e-12 * np.linalg.norm(ab)
 
     def test_spans_explicit_krylov_space(self):
         a = matrix_with_cond(24, 24, 50.0, seed=5)
@@ -96,15 +96,15 @@ class TestClassicalStep:
         a = matrix_with_cond(16, 16, 10.0, seed=11)
         mv = lambda x: a @ x
         ident = lambda x: x
-        ops = OperatorSet(mv, ident, ident, basis_op=lambda x: 2.0 * (a @ x))
+        ops = OperatorSet(mv, ident, basis_op=lambda x: 2.0 * (a @ x))
         state = ArnoldiState(16, 6)
         state.seed(rng(12).standard_normal(16), bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         v = state.basis_columns()
-        az = a @ state.z_columns()
-        resid = np.linalg.norm(az - v @ hess_from_state(state))
-        assert resid <= 1e-12 * np.linalg.norm(az)
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - v @ hess_from_state(state))
+        assert resid <= 1e-12 * np.linalg.norm(ab)
 
     def test_jacobi_left_preconditioning_relation(self):
         g = rng(13)
@@ -112,13 +112,13 @@ class TestClassicalStep:
         d = np.diag(a).copy()
         mv = lambda x: a @ x
         left = lambda x: x / d
-        ops = OperatorSet(mv, left, lambda x: x, basis_op=lambda x: left(mv(x)))
+        ops = OperatorSet(mv, left, basis_op=lambda x: left(mv(x)))
         state = ArnoldiState(18, 6)
         state.seed(left(rng(14).standard_normal(18)), bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         v = state.basis_columns()
-        lhs = (a @ state.z_columns()) / d[:, None]
+        lhs = (a @ state.b_columns()) / d[:, None]
         resid = np.linalg.norm(lhs - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(lhs)
 
@@ -129,9 +129,9 @@ class TestModifiedStep:
         r = rng(22).standard_normal(24)
         state, _, _ = run_cycle(a, r, 4, 3, modified_step)
         v = state.basis_columns()
-        az = a @ state.z_columns()
-        resid = np.linalg.norm(az - v @ hess_from_state(state))
-        assert resid <= 1e-12 * np.linalg.norm(az)
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - v @ hess_from_state(state))
+        assert resid <= 1e-12 * np.linalg.norm(ab)
         classical, _, _ = run_cycle(a, r, 4, 3, classical_step)
         assert (
             max_principal_angle(v, classical.basis_columns()) <= 1e-6
@@ -193,9 +193,9 @@ class TestModifiedStep:
         assert state.inner_cols == 2
         assert abs(state.vr.r[2, 2]) <= 1e-12
         v = state.basis_columns()
-        az = a @ state.z_columns()
-        resid = np.linalg.norm(az - v @ hess_from_state(state))
-        assert resid <= 1e-12 * np.linalg.norm(az)
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - v @ hess_from_state(state))
+        assert resid <= 1e-12 * np.linalg.norm(ab)
         # the classical variant commits all three candidates and leaves
         # detection entirely to the flag
         cstate, _, creports = run_cycle(a, r, 3, 1, classical_step)
@@ -210,7 +210,7 @@ class TestModifiedStep:
         sm, _, _ = run_cycle(a, r, 1, 8, modified_step)
         np.testing.assert_array_equal(sc.basis_columns(), sm.basis_columns())
         np.testing.assert_array_equal(sc.vr.r_active, sm.vr.r_active)
-        np.testing.assert_array_equal(sc.z_columns(), sm.z_columns())
+        np.testing.assert_array_equal(sc.b_columns(), sm.b_columns())
 
     def test_works_with_all_bases_and_both_orthogonalizers(self):
         a = matrix_with_cond(30, 30, 1e2, seed=27) + 4.0 * np.eye(30)
@@ -233,11 +233,11 @@ class TestModifiedStep:
                     # directions shrink near convergence; the relation
                     # below still holds, which is all it promises
                     assert loss <= 1e-4
-                az = a @ state.z_columns()
+                ab = a @ state.b_columns()
                 resid = np.linalg.norm(
-                    az - state.basis_columns() @ hess_from_state(state)
+                    ab - state.basis_columns() @ hess_from_state(state)
                 )
-                assert resid <= 1e-11 * np.linalg.norm(az)
+                assert resid <= 1e-11 * np.linalg.norm(ab)
 
 
 class TestBreakdownHandling:
@@ -264,9 +264,9 @@ class TestBreakdownHandling:
         assert state.vr.block_widths == [1, 3, 1]
         assert state.block_bounds == [(0, 3), (3, 1)]
         v = state.basis_columns()
-        az = a @ state.z_columns()
-        resid = np.linalg.norm(az - v @ hess_from_state(state))
-        assert resid <= 1e-12 * np.linalg.norm(az)
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - v @ hess_from_state(state))
+        assert resid <= 1e-12 * np.linalg.norm(ab)
 
     def test_truncate_validation(self):
         a = matrix_with_cond(12, 12, 10.0, seed=35)

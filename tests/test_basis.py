@@ -13,9 +13,9 @@ from sstep_gmres.basis import (
     compute_ritz_values,
     leja_order,
 )
-from sstep_gmres.basis import _eig_2x2, _hessenberg_eigenvalues
+from sstep_gmres.solver import SolverConfig, solve
 
-from helpers import max_principal_angle, rng
+from helpers import matrix_with_cond, max_principal_angle, rng
 
 
 def assert_spectra_close(got, want, tol):
@@ -40,59 +40,88 @@ def random_hessenberg(n, seed):
     return np.triu(h, -1)
 
 
+def hessenberg_spectrum(n, seed):
+    return np.linalg.eigvals(random_hessenberg(n, seed)).astype(complex)
+
+
+def ritz_of(a, r, s):
+    return compute_ritz_values(lambda x: a @ x, r, s).values
+
+
 class TestHessenbergEigenvalues:
+    """Ritz values are the eigenvalues of the warm-up Arnoldi Hessenberg
+    matrix; these pin that contract of ``compute_ritz_values``."""
+
     def test_against_dense_oracle(self):
-        # oracle: np.linalg.eigvals on the same matrix
+        # s = n: the Hessenberg matrix is similar to the operator itself
         for n in range(1, 25):
             for seed in range(8):
-                h = random_hessenberg(n, 1000 * n + seed)
-                got = _hessenberg_eigenvalues(h)
-                want = np.linalg.eigvals(h)
+                a = rng(1000 * n + seed).standard_normal((n, n))
+                got = ritz_of(a, rng(7 + seed).standard_normal(n), n)
+                want = np.linalg.eigvals(a)
                 scale = max(1.0, np.abs(want).max())
                 assert_spectra_close(got, want, 1e-8 * scale)
 
     def test_conjugate_closure_is_exact(self):
+        complex_seen = 0
         for seed in range(20):
-            h = random_hessenberg(12, seed)
-            vals = _hessenberg_eigenvalues(h)
-            RitzSet(vals)  # raises unless exactly closed under conjugation
+            a = rng(seed).standard_normal((40, 40))
+            vals = ritz_of(a, rng(100 + seed).standard_normal(40), 12)
+            key = np.lexsort((vals.imag, vals.real))
+            conj = np.conj(vals)
+            np.testing.assert_array_equal(
+                vals[key], conj[np.lexsort((conj.imag, conj.real))]
+            )
+            complex_seen += int(np.any(vals.imag != 0.0))
+        assert complex_seen > 0
 
     def test_known_rotation(self):
-        h = np.array([[0.0, -1.0], [1.0, 0.0]])
-        vals = sorted(_hessenberg_eigenvalues(h), key=lambda z: z.imag)
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        vals = sorted(ritz_of(a, np.array([1.0, 0.0]), 2), key=lambda z: z.imag)
         assert vals[0] == -1j and vals[1] == 1j
 
     def test_triangular_input(self):
-        h = np.triu(rng(3).standard_normal((10, 10)))
-        got = np.sort(_hessenberg_eigenvalues(h).real)
-        np.testing.assert_allclose(got, np.sort(np.diag(h)), rtol=1e-12)
+        t = np.diag(np.arange(1.0, 11.0)) + np.triu(
+            0.1 * rng(3).standard_normal((10, 10)), 1
+        )
+        got = np.sort(ritz_of(t, rng(4).standard_normal(10), 10).real)
+        np.testing.assert_allclose(got, np.arange(1.0, 11.0), rtol=1e-10)
 
     def test_repeated_eigenvalue(self):
-        # Jordan-like block; eigenvalues still land near 2
-        h = 2.0 * np.eye(6) + np.triu(0.1 * rng(7).standard_normal((6, 6)), 1)
-        h[np.arange(1, 6), np.arange(5)] = 1e-3
-        got = _hessenberg_eigenvalues(h)
-        want = np.linalg.eigvals(h)
-        assert_spectra_close(got, want, 1e-6)
+        # three distinct eigenvalues: Arnoldi breaks down after three
+        # steps and the padded set stays on the spectrum
+        sim = np.eye(6) + 0.3 * rng(7).standard_normal((6, 6))
+        a = sim @ np.diag([2.0, 2.0, 2.0, 5.0, 5.0, 7.0]) @ np.linalg.inv(sim)
+        vals = ritz_of(a, rng(8).standard_normal(6), 6)
+        assert len(vals) == 6
+        dist = np.abs(vals[:, None] - np.array([2.0, 5.0, 7.0])[None, :])
+        assert dist.min(axis=1).max() <= 1e-8
+        assert set(dist.argmin(axis=1)) == {0, 1, 2}
 
     def test_empty_and_scalar(self):
-        assert _hessenberg_eigenvalues(np.zeros((0, 0))).size == 0
+        with pytest.raises(ValueError, match="positive"):
+            compute_ritz_values(lambda x: x, np.ones(3), 0)
         np.testing.assert_array_equal(
-            _hessenberg_eigenvalues(np.array([[4.0]])), [4.0 + 0j]
+            ritz_of(np.array([[4.0]]), np.array([3.0]), 3), [4.0, 4.0, 4.0]
         )
 
-    def test_eig_2x2_matches_oracle(self):
+    def test_two_by_two_operators_match_oracle(self):
+        # started at e1 with a positive subdiagonal, Arnoldi reproduces
+        # the operator exactly, so the values are its LAPACK eigenvalues
         for seed in range(50):
             m = rng(200 + seed).standard_normal((2, 2))
-            got = np.array(_eig_2x2(m))
-            want = np.linalg.eigvals(m)
-            scale = max(1.0, np.abs(want).max())
-            assert_spectra_close(got, want, 1e-13 * scale)
+            m[1, 0] = abs(m[1, 0])
+            got = ritz_of(m, np.array([1.0, 0.0]), 2)
+            want = np.linalg.eigvals(m).astype(complex)
+            key = lambda v: np.lexsort((v.imag, v.real))
+            np.testing.assert_array_equal(got[key(got)], want[key(want)])
 
-    def test_eig_2x2_conjugates_exact(self):
-        vals = _eig_2x2(np.array([[1.0, -2.0], [2.0, 1.0]]))
+    def test_two_by_two_conjugates_exact(self):
+        vals = ritz_of(np.array([[1.0, -2.0], [2.0, 1.0]]), np.array([1.0, 0.0]), 2)
         assert vals[0] == vals[1].conjugate()
-        assert vals[0].imag > 0
+        np.testing.assert_allclose(
+            sorted(vals, key=lambda z: z.imag), [1.0 - 2.0j, 1.0 + 2.0j], rtol=1e-15
+        )
 
 
 class TestRitzValues:
@@ -135,8 +164,13 @@ class TestRitzValues:
         assert sorted(z.imag for z in ritz.values) == [-1.0, 0.0, 1.0]
 
     def test_count_cap_and_zero_start(self):
-        with pytest.raises(ValueError, match="1..64"):
-            compute_ritz_values(lambda x: x, np.ones(100), 65)
+        # the count has no cap: s above 64 warms up like any other s
+        a = matrix_with_cond(80, 80, 1e2, seed=3)
+        b = rng(4).standard_normal(80)
+        assert len(ritz_of(a, b, 65)) == 65
+        for basis in ("newton", "chebyshev"):
+            res = solve(a, b, config=SolverConfig(s=65, basis=basis))
+            assert res.block_steps >= 1 and np.isfinite(res.backward_error)
         with pytest.raises(ValueError, match="zero"):
             compute_ritz_values(lambda x: x, np.zeros(4), 2)
 
@@ -187,9 +221,7 @@ class TestLejaOrder:
         got = leja_order(vals)
         np.testing.assert_array_equal(got, [2.0, 1.0 + 1.0j, 1.0 - 1.0j])
         for seed in range(10):
-            h = random_hessenberg(9, 400 + seed)
-            spectrum = _hessenberg_eigenvalues(h)
-            ordered = leja_order(spectrum)
+            ordered = leja_order(hessenberg_spectrum(9, 400 + seed))
             i = 0
             while i < len(ordered):
                 if ordered[i].imag != 0.0:
@@ -200,7 +232,7 @@ class TestLejaOrder:
 
     def test_first_is_max_modulus(self):
         for seed in range(10):
-            vals = _hessenberg_eigenvalues(random_hessenberg(8, 500 + seed))
+            vals = hessenberg_spectrum(8, 500 + seed)
             got = leja_order(vals)
             # scalar abs and vectorized np.abs can disagree by one ulp
             assert abs(got[0]) >= np.abs(vals).max() * (1.0 - 4e-16)
@@ -210,7 +242,7 @@ class TestLejaOrder:
         np.testing.assert_array_equal(got, [3.0, 1.0, 1.0])
 
     def test_preserves_multiset(self):
-        vals = _hessenberg_eigenvalues(random_hessenberg(11, 42))
+        vals = hessenberg_spectrum(11, 42)
         got = leja_order(vals)
         key = lambda a: np.lexsort((a.imag, a.real))
         np.testing.assert_array_equal(got[key(got)], vals[key(vals)])

@@ -189,6 +189,24 @@ class TestInfoCommand:
         assert float(got["frobenius_norm"]) == 2.0
         assert float(got["cond2"]) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # symmetric pattern, unequal mirrored values
+            ["1 1 1.0", "1 2 1.0", "2 1 2.0", "2 2 1.0"],
+            # a stored zero whose mirror is not stored
+            ["1 1 1.0", "2 2 1.0", "1 2 0.0"],
+        ],
+    )
+    def test_asymmetric_storage_reported(self, capsys, tmp_path, entries):
+        path = tmp_path / "m.mtx"
+        lines = ["%%MatrixMarket matrix coordinate real general", "2 2 %d" % len(entries)]
+        path.write_text("\n".join(lines + entries) + "\n")
+        code, out, _ = run(capsys, "info", "--matrix", str(path))
+        assert code == 0
+        got = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert got["symmetric"] == "no"
+
     def test_generated_matrix_condition(self, capsys, tmp_path):
         out = str(tmp_path / "m.mtx")
         run(capsys, "gen", "--randsvd", "20,1e6,1,17", "--out", out)

@@ -12,7 +12,6 @@ from sstep_gmres.dense import (
     cond2,
     householder_qr,
     jacobi_svd_values,
-    normalize_columns,
     _round_robin_schedule,
 )
 
@@ -274,29 +273,6 @@ class TestCond2:
     def test_prescribed_condition(self):
         m = matrix_with_cond(60, 10, 1e6, seed=21)
         assert abs(cond2(m) / 1e6 - 1.0) <= 1e-6
-
-
-class TestNormalizeColumns:
-    def test_round_trip_within_2_ulps(self):
-        m = rng(17).standard_normal((25, 7)) * np.geomspace(1e-8, 1e8, 7)
-        mn, d = normalize_columns(m)
-        back = mn * d
-        assert np.all(np.abs(back - m) <= 2 * np.spacing(np.abs(m)))
-
-    def test_unit_columns(self):
-        mn, _ = normalize_columns(rng(18).standard_normal((30, 5)))
-        assert_allclose(np.linalg.norm(mn, axis=0), np.ones(5), rtol=1e-14)
-
-    def test_conditioning_not_worsened_on_seeded_instance(self):
-        m = rng(19).standard_normal((30, 6)) * np.geomspace(1.0, 1e6, 6)
-        mn, _ = normalize_columns(m)
-        assert cond2(mn) <= cond2(m)
-
-    def test_zero_column_reports_index(self):
-        m = np.ones((4, 3))
-        m[:, 2] = 0.0
-        with pytest.raises(ValueError, match="column 2"):
-            normalize_columns(m)
 
 
 def test_unit_roundoff_value():

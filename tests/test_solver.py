@@ -194,6 +194,18 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match=r"\(%d,\).*n=6" % length):
             solve(np.eye(6), np.ones(6), preconditioner=prec)
 
+    @pytest.mark.parametrize("which", ["a", "b", "x0"])
+    def test_complex_input_rejected(self, which):
+        args = {"a": np.eye(3), "b": np.ones(3), "x0": np.zeros(3)}
+        args[which] = args[which] + 0.5j
+        with pytest.raises(ValueError, match="must be real"):
+            solve(args["a"], args["b"], x0=args["x0"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_x0_rejected_up_front(self, bad):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve(np.eye(3), np.ones(3), x0=np.array([0.0, bad, 0.0]))
+
     def test_nonfinite_data_rejected_or_aborts(self):
         a = np.diag([1e200, 1.0])
         b = np.ones(2)

@@ -13,7 +13,6 @@ from sstep_gmres.sparse import (
     apply_preconditioner_inverse,
     csr_from_dense,
     gen_randsvd,
-    identity_preconditioner,
     jacobi_preconditioner,
     parse_matrix_market,
     right_singular_vector,
@@ -121,6 +120,10 @@ class TestCsr:
         with pytest.raises(ValueError):
             CsrMatrix(1, [0, 1], [0], [np.nan])
 
+    def test_validation_rejects_complex(self):
+        with pytest.raises(ValueError, match="real"):
+            CsrMatrix(1, [0, 1], [0], [1.0 + 1.0j])
+
     def test_diagonal_extraction(self):
         dense = np.array([[2.0, 1.0], [0.0, 0.0]])
         assert_allclose(csr_from_dense(dense).diagonal(), [2.0, 0.0], atol=0.0)
@@ -215,7 +218,7 @@ class TestSpmv:
 class TestPreconditioner:
     def test_identity_returns_input(self):
         x = rng(0).standard_normal(5)
-        assert apply_preconditioner_inverse(identity_preconditioner(), x) is x
+        assert apply_preconditioner_inverse(None, x) is x
 
     def test_jacobi_inverse(self):
         dense = np.diag([2.0, 4.0, 0.5])
@@ -229,8 +232,9 @@ class TestPreconditioner:
             jacobi_preconditioner(csr_from_dense(dense))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Preconditioner("ilu")
+        for kind in ("ilu", "none"):
+            with pytest.raises(ValueError):
+                Preconditioner(kind)
 
 
 class TestRandSvd:
