@@ -13,8 +13,8 @@ the previous basis columns, which keeps the accumulated candidate blocks
 well conditioned regardless of the polynomial basis quality.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -47,16 +47,17 @@ class OperatorSet:
 
 @dataclass
 class StepReport:
-    """One block step: the new inner-column range and QR rank status.
+    """One block step: the new inner-column range and its extra cost.
 
-    ``projections`` and ``intra_qrs`` count the candidate-preparation
-    work on top of the shared orthogonalization, so logs can show the
-    near-doubling of QR cost in the modified variant.
+    Rank is not decided here: ``solve`` tests the fresh R diagonal
+    entries of the shared factorization. ``projections`` and
+    ``intra_qrs`` count the candidate-preparation work on top of the
+    shared orthogonalization, so logs can show the near-doubling of QR
+    cost in the modified variant.
     """
 
     start: int
     width: int
-    deficient: Optional[int]  # first deficient V column (absolute), if any
     projections: int = 0
     intra_qrs: int = 0
 
@@ -68,6 +69,8 @@ class ArnoldiState:
     B_k, which span the solution update and feed the conditioning
     diagnostics; ``w_colnorm2`` squared norms of the W columns as they
     entered the QR (the rank test scales against their running sum).
+    The block layout is ``vr.block_widths``: the seed column's block of
+    width 1, then one entry per committed step.
     """
 
     def __init__(self, n, max_inner):
@@ -76,8 +79,6 @@ class ArnoldiState:
         self.vr = QrState(n, max_inner + 1)
         self.b_concat = np.zeros((n, max_inner), order="F")
         self.w_colnorm2 = np.zeros(max_inner)
-        self.inner_cols = 0
-        self.block_bounds = []
 
     @property
     def n(self):
@@ -87,16 +88,21 @@ class ArnoldiState:
     def max_inner(self):
         return self.b_concat.shape[1]
 
+    @property
+    def inner_cols(self):
+        """Candidate columns committed so far: every basis column but the seed."""
+        return max(self.vr.ncols - 1, 0)
+
     def seed(self, r, orth_step):
         """Install the start residual as the first basis column.
 
-        The QR of the single column makes R[0, 0] = ||r||, so the driver
-        reads beta straight off the triangular factor.
+        The QR of the single column makes R[0, 0] = ||r||, which is
+        returned as beta.
         """
         if self.vr.ncols != 0:
             raise ValueError("state is already seeded")
-        res = orth_step(self.vr, r)
-        return self.vr.r[0, 0], res
+        orth_step(self.vr, r)
+        return self.vr.r[0, 0]
 
     def basis_columns(self):
         return self.vr.q[:, : self.vr.ncols]
@@ -118,10 +124,8 @@ def _finish_step(state, ops, b, orth_step, projections=0, intra_qrs=0):
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
     state.w_colnorm2[start : start + width] = np.sum(w * w, axis=0)
-    res = orth_step(state.vr, w)
-    state.block_bounds.append((start, width))
-    state.inner_cols += width
-    return StepReport(start, width, res.deficient, projections, intra_qrs)
+    orth_step(state.vr, w)
+    return StepReport(start, width, projections, intra_qrs)
 
 
 def _candidate_block(state, ops, basis, s):
@@ -197,16 +201,7 @@ def _enforce_span_budget(state, report, attempted):
         resid = col - own @ (own.T @ col)
         if np.linalg.norm(resid) > budget:
             truncate_after_breakdown(state, start + t)
-            deficient = report.deficient
-            if deficient is not None and deficient > start + t:
-                deficient = None
-            return StepReport(
-                start,
-                t,
-                deficient,
-                projections=report.projections,
-                intra_qrs=report.intra_qrs,
-            )
+            return replace(report, width=t)
     return report
 
 
@@ -262,8 +257,10 @@ def truncate_after_breakdown(state, keep_inner):
 
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
     so [r | W] = V R still holds on the retained slice) and trims the
-    candidate buffer to match. Used once, right before the final
-    solution assembly of a cycle that hit a rank-deficient column.
+    block widths to match; the candidate and W-norm buffers need no
+    trim, since ``inner_cols`` bounds every read of them. Used by
+    ``solve`` right before the solution assembly of a cycle that hit a
+    rank-deficient column, and by the modified step's span-budget cut.
     """
     if not 0 <= keep_inner <= state.inner_cols:
         raise ValueError("keep_inner out of range")
@@ -276,10 +273,3 @@ def truncate_after_breakdown(state, keep_inner):
         total -= drop
         if widths[-1] == 0:
             widths.pop()
-    state.inner_cols = keep_inner
-    bounds = []
-    for start, width in state.block_bounds:
-        if start >= keep_inner:
-            break
-        bounds.append((start, min(width, keep_inner - start)))
-    state.block_bounds = bounds

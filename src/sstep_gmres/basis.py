@@ -56,20 +56,12 @@ class NewtonBasis:
 
 @dataclass(frozen=True)
 class ChebyshevBasis:
-    """Scaled Chebyshev polynomials on the ellipse (center, focal distance).
-
-    ``scale`` divides every freshly generated column as an overflow guard
-    for runs with per-column normalization turned off; it has no effect on
-    spans and defaults to 1.
-    """
+    """Scaled Chebyshev polynomials on the ellipse (center, focal distance)."""
 
     center: float
     focal: float
-    scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
         if self.focal == 0.0:
             raise ValueError(
                 "degenerate ellipse (focal = 0); fall back to the monomial basis"
@@ -212,11 +204,11 @@ def chebyshev_params(values):
     return ChebyshevParams(float(d), float(c))
 
 
-def build_krylov_block(apply_op, v, s, kind, normalize=True):
+def build_krylov_block(apply_op, v, s, kind):
     """Krylov block [p_0(op) v, p_1(op) v, ..., p_{s-1}(op) v].
 
-    The first column is always v itself (p_0 = 1). With ``normalize``
-    (default) each generated column is rescaled to unit norm, and the
+    The first column is always v itself (p_0 = 1). Each generated column
+    is rescaled to unit norm, p_j(op) v / ||p_j(op) v||, and the
     recurrences carry the scale ratios so the spanned space is unchanged.
     An exactly vanishing new column (invariant subspace) truncates the
     block to its actual width.
@@ -238,7 +230,7 @@ def build_krylov_block(apply_op, v, s, kind, normalize=True):
             nrm = np.linalg.norm(w)
             if nrm == 0.0:
                 return cols[:, :j].copy()
-            cols[:, j] = w / nrm if normalize else w
+            cols[:, j] = w / nrm
         return cols
 
     if isinstance(kind, NewtonBasis):
@@ -253,19 +245,19 @@ def build_krylov_block(apply_op, v, s, kind, normalize=True):
             if gamma == 0.0:
                 return cols[:, :j].copy()
             if theta.imag == 0.0:
-                cols[:, j] = w / gamma if normalize else w
+                cols[:, j] = w / gamma
                 t += 1
                 j += 1
                 continue
             # conjugate pair applied as the real quadratic
             # op^2 - 2 Re(theta) op + |theta|^2
-            stored = w / gamma if normalize else w
+            stored = w / gamma
             cols[:, j] = stored
             t += 2
             j += 1
             if j >= s:
                 break
-            ratio = theta.imag * theta.imag / gamma if normalize else theta.imag ** 2
+            ratio = theta.imag * theta.imag / gamma
             w2 = (
                 np.asarray(apply_op(stored), dtype=float)
                 - theta.real * stored
@@ -274,12 +266,12 @@ def build_krylov_block(apply_op, v, s, kind, normalize=True):
             nrm2 = np.linalg.norm(w2)
             if nrm2 == 0.0:
                 return cols[:, :j].copy()
-            cols[:, j] = w2 / nrm2 if normalize else w2
+            cols[:, j] = w2 / nrm2
             j += 1
         return cols
 
     if isinstance(kind, ChebyshevBasis):
-        d, c, guard = kind.center, kind.focal, kind.scale
+        d, c = kind.center, kind.focal
         # stored column j equals the true Chebyshev column divided by a
         # running scale; prev_factor is the scale step of column j-1
         prev_factor = 1.0
@@ -293,12 +285,8 @@ def build_krylov_block(apply_op, v, s, kind, normalize=True):
             nrm = np.linalg.norm(raw)
             if nrm == 0.0:
                 return cols[:, :j].copy()
-            if normalize:
-                cols[:, j] = raw / nrm
-                prev_factor = nrm
-            else:
-                cols[:, j] = raw / guard
-                prev_factor = guard
+            cols[:, j] = raw / nrm
+            prev_factor = nrm
         return cols
 
     raise TypeError("unknown basis kind %r" % (kind,))

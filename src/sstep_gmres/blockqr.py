@@ -7,17 +7,17 @@ QRs), which keeps the orthogonality loss near roundoff for block condition
 numbers up to ~1e8. ``bmgs_step`` is block modified Gram-Schmidt with a
 single pass, cheaper in reads of the basis but with loss proportional to
 the condition number of the incoming block.
-"""
 
-from dataclasses import dataclass
-from typing import Optional
+Neither scheme decides rank: a column that adds no new direction still
+gets an orthonormal Q column, and its small R diagonal entry is left for
+the caller to test.
+"""
 
 import numpy as np
 
 from .dense import householder_qr
 
 __all__ = [
-    "BlockStepResult",
     "QrState",
     "bcgsi_plus_step",
     "bmgs_step",
@@ -25,23 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class BlockStepResult:
-    """Outcome of appending one block: its column range and rank status."""
-
-    start: int
-    width: int
-    deficient: Optional[int]  # absolute index of first deficient column
-
-
 class QrState:
     """Growing thin QR factorization with preallocated storage.
 
     ``q`` holds the orthonormal columns, ``r`` the square triangular
     factor; only the leading ``ncols`` columns/rows are meaningful.
-    Appended blocks keep their widths in ``block_widths``. Capacity may
-    exceed the row count: columns past the rank of the appended data get
-    flagged as deficient rather than rejected up front.
+    Appended blocks keep their widths in ``block_widths``, the one record
+    of the block layout. Capacity may exceed the row count: columns past
+    the rank of the appended data are committed with a small R diagonal
+    entry rather than rejected up front.
     """
 
     def __init__(self, n, max_cols):
@@ -71,7 +63,7 @@ class QrState:
                 % (width, self.max_cols, self.ncols)
             )
 
-    def _commit(self, start, q_new, r_above, r_diag, deficient):
+    def _commit(self, start, q_new, r_above, r_diag):
         width = q_new.shape[1]
         self.q[:, start : start + width] = q_new
         if start:
@@ -79,7 +71,6 @@ class QrState:
         self.r[start : start + width, start : start + width] = r_diag
         self.ncols = start + width
         self.block_widths.append(width)
-        return BlockStepResult(start, width, deficient)
 
 
 def bcgsi_plus_step(state, x):
@@ -87,8 +78,6 @@ def bcgsi_plus_step(state, x):
 
     Projection, intra-block QR, then a full second projection and QR; the
     triangular pieces are recombined so q r still reproduces the inputs.
-    Rank deficiency inside the block is measured against the incoming
-    block's own scale and reported, not repaired.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -96,20 +85,15 @@ def bcgsi_plus_step(state, x):
     state._reserve(x.shape[1])
     p = state.ncols
     q = state.q_active
-    scale = np.linalg.norm(x)
 
     s1 = q.T @ x
     w1 = x - q @ s1
-    u, t1, bad1 = householder_qr(w1, deficiency_scale=scale)
+    u, t1, _ = householder_qr(w1)
     s2 = q.T @ u
     w2 = u - q @ s2
-    q_new, t2, bad2 = householder_qr(w2, deficiency_scale=scale)
+    q_new, t2, _ = householder_qr(w2)
 
-    r_above = s1 + s2 @ t1
-    r_diag = t2 @ t1
-    deficient = bad1 if bad1 is not None else bad2
-    abs_deficient = p + deficient if deficient is not None else None
-    return state._commit(p, q_new, r_above, r_diag, abs_deficient)
+    state._commit(p, q_new, s1 + s2 @ t1, t2 @ t1)
 
 
 def bmgs_step(state, x):
@@ -119,7 +103,6 @@ def bmgs_step(state, x):
         x = x[:, None]
     state._reserve(x.shape[1])
     p = state.ncols
-    scale = np.linalg.norm(x)
 
     r_above = np.zeros((p, x.shape[1]))
     lo = 0
@@ -129,9 +112,8 @@ def bmgs_step(state, x):
         x -= qk @ sk
         r_above[lo : lo + width] = sk
         lo += width
-    q_new, r_diag, bad = householder_qr(x, deficiency_scale=scale)
-    abs_deficient = p + bad if bad is not None else None
-    return state._commit(p, q_new, r_above, r_diag, abs_deficient)
+    q_new, r_diag, _ = householder_qr(x)
+    state._commit(p, q_new, r_above, r_diag)
 
 
 def loss_of_orthogonality(q):

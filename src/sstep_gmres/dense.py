@@ -72,8 +72,8 @@ def householder_qr(m, deficiency_scale=None):
         Scale against which pivot collapse is judged. A pivot at or below
         4 * sqrt(rows) * u * deficiency_scale marks the column deficient
         (the sqrt(rows) factor covers cancellation noise from eliminating
-        an exactly dependent column). Defaults to ||m||_F. Block
-        orthogonalizers pass the norm of the block as it was before
+        an exactly dependent column). Defaults to ||m||_F. The modified
+        Arnoldi step passes the norm of its block as it was before
         projection so that fully projected-out columns are still
         recognized.
 

@@ -67,13 +67,12 @@ def basis_condition_numbers(state, valid_cols=None):
     """
     inner = state.inner_cols if valid_cols is None else valid_cols
     b = state.b_concat[:, :inner]
-    start, width = state.block_bounds[-1]
-    width = min(width, inner - start)
-    sub = state.b_concat[:, start : start + width]
+    start = state.inner_cols - state.vr.block_widths[-1]
+    sub = state.b_concat[:, start:inner]
     v = state.vr.q[:, : inner + 1]
     return (
         cond2(b) if b.shape[1] else np.nan,
-        cond2(sub) if width > 0 else np.nan,
+        cond2(sub) if sub.shape[1] else np.nan,
         cond2(v),
         loss_of_orthogonality(v),
     )

@@ -39,7 +39,7 @@ from .basis import (
 from .blockqr import bcgsi_plus_step, bmgs_step
 from .dense import UNIT_ROUNDOFF, compute_givens
 from .diagnostics import IterationRecord, basis_condition_numbers
-from .sparse import CsrMatrix, apply_preconditioner_inverse, spmv
+from .sparse import CsrMatrix, _reject_complex, apply_preconditioner_inverse, spmv
 
 __all__ = [
     "CONVERGED_STATUSES",
@@ -200,12 +200,6 @@ class _LeastSquares:
         return y
 
 
-def _reject_complex(v, what):
-    # casting would keep only the real parts and solve a different system
-    if np.iscomplexobj(v):
-        raise ValueError("%s must be real, not complex" % what)
-
-
 def _system_operators(a):
     if isinstance(a, CsrMatrix):
         return (lambda x: spmv(a, x)), a.frobenius_norm(), a.n
@@ -313,8 +307,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             # the initial residual and are reused across restart cycles
             basis = _resolve_basis(config, ritz_op, r, config.s)
         state = ArnoldiState(n, max_inner)
-        state.seed(r, orth_step)
-        ls = _LeastSquares(max_inner, beta=state.vr.r[0, 0])
+        ls = _LeastSquares(max_inner, beta=state.seed(r, orth_step))
         outer = 0
         status = None
         x_cycle = x

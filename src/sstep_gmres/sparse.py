@@ -27,6 +27,12 @@ class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; messages carry 1-based line numbers."""
 
 
+def _reject_complex(v, what):
+    # casting would keep only the real parts and describe a different system
+    if np.iscomplexobj(v):
+        raise ValueError("%s must be real, not complex" % what)
+
+
 @dataclass(frozen=True)
 class CsrMatrix:
     """Square sparse matrix in compressed sparse row form.
@@ -43,8 +49,7 @@ class CsrMatrix:
     row_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
-            raise ValueError("matrix values must be real, not complex")
+        _reject_complex(self.values, "matrix values")
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
         object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -92,6 +97,7 @@ class CsrMatrix:
 def csr_from_coo(n, rows, cols, vals):
     """Build CSR from unsorted coordinate data; duplicates are summed in
     input order."""
+    _reject_complex(vals, "matrix values")
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
@@ -113,16 +119,14 @@ def csr_from_coo(n, rows, cols, vals):
     return CsrMatrix(n, row_ptr, out_c, out_v)
 
 
-def csr_from_dense(a, keep_zeros=False):
+def csr_from_dense(a):
+    """CSR of a square real array, storing its nonzero entries."""
+    _reject_complex(a, "matrix values")
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("need a square matrix")
-    if keep_zeros:
-        rows, cols = np.indices(a.shape)
-        rows, cols = rows.ravel(), cols.ravel()
-    else:
-        rows, cols = np.nonzero(a)
+    rows, cols = np.nonzero(a)
     return csr_from_coo(n, rows, cols, a[rows, cols])
 
 
@@ -257,14 +261,13 @@ def spmv(a, x):
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Diagonal (Jacobi) preconditioner; ``None`` means no preconditioner."""
+    """Diagonal (Jacobi) preconditioner M = diag(diag), applied from the
+    left; ``None`` in its place means no preconditioner."""
 
-    kind: str  # "jacobi"
-    diag: "np.ndarray | None" = None
+    diag: np.ndarray
 
     def __post_init__(self):
-        if self.kind != "jacobi":
-            raise ValueError("unknown preconditioner kind %r" % self.kind)
+        _reject_complex(self.diag, "jacobi preconditioner diagonal")
         d = np.asarray(self.diag, dtype=float)
         if np.any(d == 0.0) or not np.all(np.isfinite(d)):
             raise ValueError("jacobi preconditioner needs a nonzero finite diagonal")
@@ -276,7 +279,7 @@ def jacobi_preconditioner(a):
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise ValueError("zero diagonal entry at row %d" % int(zero[0]))
-    return Preconditioner("jacobi", d)
+    return Preconditioner(d)
 
 
 def apply_preconditioner_inverse(p, x):

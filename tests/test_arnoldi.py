@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sstep_gmres.arnoldi import (
     ArnoldiState,
@@ -12,7 +13,8 @@ from sstep_gmres.arnoldi import (
 )
 from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step, loss_of_orthogonality
-from sstep_gmres.dense import cond2
+from sstep_gmres.dense import UNIT_ROUNDOFF, cond2
+from sstep_gmres.diagnostics import basis_condition_numbers
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
 from helpers import matrix_with_cond, max_principal_angle, rng
@@ -29,7 +31,7 @@ def run_cycle(a, r, s, steps, step_fn, basis=None, ops=None, orth=bcgsi_plus_ste
     state = ArnoldiState(n, s * steps)
     ops = ops or identity_ops(a)
     basis = basis or MonomialBasis()
-    beta, _ = state.seed(r, orth)
+    beta = state.seed(r, orth)
     reports = [step_fn(state, ops, basis, s, orth) for _ in range(steps)]
     return state, beta, reports
 
@@ -37,6 +39,16 @@ def run_cycle(a, r, s, steps, step_fn, basis=None, ops=None, orth=bcgsi_plus_ste
 def hess_from_state(state):
     p = state.vr.ncols
     return state.vr.r[:p, 1:p]
+
+
+def first_dead_r_diagonal(state, tol_h):
+    """The rank test of ``solve``: first basis column c >= 1 whose |R[c, c]|
+    is at most tol_h * ||W_1..W_c||_F, or None."""
+    w_cum = np.sqrt(np.cumsum(state.w_colnorm2[: state.inner_cols]))
+    for c in range(1, state.inner_cols + 1):
+        if abs(state.vr.r[c, c]) <= tol_h * w_cum[c - 1]:
+            return c
+    return None
 
 
 class TestClassicalStep:
@@ -76,7 +88,7 @@ class TestClassicalStep:
         assert [(r.start, r.width) for r in reports] == [(0, 3), (3, 3)]
         assert state.inner_cols == 6
         assert state.vr.ncols == 7
-        assert state.block_bounds == [(0, 3), (3, 3)]
+        assert state.vr.block_widths == [1, 3, 3]
         assert np.all(state.w_colnorm2[:6] > 0)
 
     def test_last_block_capped_by_capacity(self):
@@ -181,27 +193,28 @@ class TestModifiedStep:
     def test_minimal_polynomial_cuts_block_width(self):
         # two distinct eigenvalues: the Krylov space has dimension two, so
         # the third candidate is a combination of the first two and the
-        # modified variant drops it before committing; the one candidate
-        # direction the seed already covers still reaches the basis and is
-        # flagged for the driver's rank test
+        # modified variant drops it before committing; the second
+        # candidate's image adds no direction, which leaves a negligible
+        # R diagonal entry for the solver's rank test to find
         n = 12
         a = np.diag(np.repeat([1.0, 2.0], n // 2))
         r = rng(63).standard_normal(n)
+        tol_h = np.sqrt(n) * UNIT_ROUNDOFF
         state, _, reports = run_cycle(a, r, 3, 1, modified_step)
         assert reports[0].width == 2
-        assert reports[0].deficient == 2
         assert state.inner_cols == 2
+        assert first_dead_r_diagonal(state, tol_h) == 2
         assert abs(state.vr.r[2, 2]) <= 1e-12
         v = state.basis_columns()
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
         # the classical variant commits all three candidates and leaves
-        # detection entirely to the flag
+        # detection entirely to the rank test
         cstate, _, creports = run_cycle(a, r, 3, 1, classical_step)
         assert creports[0].width == 3
-        assert creports[0].deficient == 2
         assert cstate.inner_cols == 3
+        assert first_dead_r_diagonal(cstate, tol_h) == 2
 
     def test_s_equal_one_matches_classical_bitwise(self):
         a = matrix_with_cond(20, 20, 1e4, seed=25)
@@ -251,7 +264,8 @@ class TestBreakdownHandling:
             state, identity_ops(a), MonomialBasis(), 1, bcgsi_plus_step
         )
         # W's only column equals the seed direction, so V column 1 is junk
-        assert rep.deficient == 1
+        assert (rep.start, rep.width) == (0, 1)
+        assert first_dead_r_diagonal(state, np.sqrt(n) * UNIT_ROUNDOFF) == 1
         assert abs(state.vr.r[1, 1]) <= 1e-12
 
     def test_truncate_keeps_factorization_consistent(self):
@@ -262,11 +276,48 @@ class TestBreakdownHandling:
         assert state.inner_cols == 4
         assert state.vr.ncols == 5
         assert state.vr.block_widths == [1, 3, 1]
-        assert state.block_bounds == [(0, 3), (3, 1)]
         v = state.basis_columns()
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        s=st.integers(1, 5),
+        steps=st.integers(1, 4),
+        cond=st.sampled_from([1e2, 1e8]),
+        step_fn=st.sampled_from([classical_step, modified_step]),
+        orth=st.sampled_from([bcgsi_plus_step, bmgs_step]),
+        data=st.data(),
+    )
+    def test_truncation_keeps_layout_relation_and_newest_block(
+        self, seed, s, steps, cond, step_fn, orth, data
+    ):
+        n = 24
+        a = matrix_with_cond(n, n, cond, seed=seed)
+        r = rng(seed + 1).standard_normal(n)
+        state, _, _ = run_cycle(a, r, s, steps, step_fn, orth=orth)
+        before = list(state.vr.block_widths)
+        k = data.draw(st.integers(1, state.inner_cols), label="keep_inner")
+        truncate_after_breakdown(state, k)
+
+        widths = state.vr.block_widths
+        assert sum(widths) == state.vr.ncols == state.inner_cols + 1 == k + 1
+        # the kept layout is the old one cut at basis column k
+        assert widths[:-1] == before[: len(widths) - 1]
+        assert 1 <= widths[-1] <= before[len(widths) - 1]
+
+        ab = a @ state.b_columns()
+        resid = np.linalg.norm(ab - state.basis_columns() @ hess_from_state(state))
+        assert resid <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(ab)
+
+        # the newest block that the diagnostics measure is the trailing
+        # widths[-1] columns of the kept candidates
+        b_cols = state.b_columns()
+        cond_bt, cond_bs, _, _ = basis_condition_numbers(state)
+        assert cond_bt == cond2(b_cols)
+        assert cond_bs == cond2(b_cols[:, k - widths[-1] :])
 
     def test_truncate_validation(self):
         a = matrix_with_cond(12, 12, 10.0, seed=35)

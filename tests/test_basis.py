@@ -267,17 +267,23 @@ class TestChebyshevParams:
         assert p.center == 3.0 and p.degenerate
 
 
+def assert_unit_columns_match(cols, images, rtol):
+    """Column 0 is v itself; column j >= 1 is p_j(A) v / ||p_j(A) v||."""
+    assert cols.shape[1] == len(images)
+    np.testing.assert_array_equal(cols[:, 0], images[0])
+    for j in range(1, len(images)):
+        want = images[j] / np.linalg.norm(images[j])
+        np.testing.assert_allclose(cols[:, j], want, rtol=rtol, atol=rtol)
+
+
 class TestBuildKrylovBlock:
     def test_monomial_powers_of_two(self):
-        n = 6
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        cols = build_krylov_block(
-            lambda x: 2.0 * x, e1, 3, MonomialBasis(), normalize=False
-        )
-        np.testing.assert_array_equal(cols[:, 0], e1)
-        np.testing.assert_array_equal(cols[:, 1], 2.0 * e1)
-        np.testing.assert_array_equal(cols[:, 2], 4.0 * e1)
+        # A = diag(1, 2, 4, ...) keeps every A^j v exact in floating point
+        a = np.diag(2.0 ** np.arange(6))
+        v = rng(34).standard_normal(6)
+        cols = build_krylov_block(lambda x: a @ x, v, 4, MonomialBasis())
+        want = [np.linalg.matrix_power(a, j) @ v for j in range(4)]
+        assert_unit_columns_match(cols, want, rtol=1e-14)
 
     def test_normalized_columns_are_unit(self):
         a = rng(11).standard_normal((15, 15))
@@ -313,73 +319,48 @@ class TestBuildKrylovBlock:
     def test_newton_real_shifts_product_form(self):
         a = rng(31).standard_normal((8, 8))
         v = rng(32).standard_normal(8)
-        cols = build_krylov_block(
-            lambda x: a @ x, v, 3, NewtonBasis((1.0, -2.0)), normalize=False
-        )
+        cols = build_krylov_block(lambda x: a @ x, v, 3, NewtonBasis((1.0, -2.0)))
         i = np.eye(8)
-        np.testing.assert_allclose(cols[:, 1], (a - i) @ v, rtol=1e-14)
-        np.testing.assert_allclose(
-            cols[:, 2], (a + 2 * i) @ (a - i) @ v, rtol=1e-13
-        )
+        want = [v, (a - i) @ v, (a + 2 * i) @ (a - i) @ v]
+        assert_unit_columns_match(cols, want, rtol=1e-13)
 
     def test_newton_conjugate_pair_is_real_quadratic(self):
         a = rng(41).standard_normal((8, 8))
         v = rng(42).standard_normal(8)
         theta = 1.0 + 2.0j
         cols = build_krylov_block(
-            lambda x: a @ x,
-            v,
-            3,
-            NewtonBasis((theta, theta.conjugate())),
-            normalize=False,
+            lambda x: a @ x, v, 3, NewtonBasis((theta, theta.conjugate()))
         )
         assert cols.dtype == np.float64
         i = np.eye(8)
-        np.testing.assert_allclose(cols[:, 1], (a - i) @ v, rtol=1e-14)
         # (x - theta)(x - conj(theta)) = x^2 - 2 Re(theta) x + |theta|^2
         quad = a @ a - 2.0 * a + 5.0 * i
-        np.testing.assert_allclose(cols[:, 2], quad @ v, rtol=1e-12)
+        assert_unit_columns_match(cols, [v, (a - i) @ v, quad @ v], rtol=1e-12)
 
     def test_newton_pair_with_normalization_spans_same_space(self):
         a = rng(43).standard_normal((12, 12)) + 4.0 * np.eye(12)
         v = rng(44).standard_normal(12)
         theta = 4.0 + 0.7j
         kind = NewtonBasis((theta, theta.conjugate(), 3.5))
-        plain = build_krylov_block(lambda x: a @ x, v, 6, kind, normalize=False)
-        unit = build_krylov_block(lambda x: a @ x, v, 6, kind, normalize=True)
-        for j in range(6):
-            d = plain[:, j] / unit[:, j]
-            np.testing.assert_allclose(d, d[0], rtol=1e-10)
+        cols = build_krylov_block(lambda x: a @ x, v, 6, kind)
+        i = np.eye(12)
+        lin = a - theta.real * i
+        quad = lin @ lin + theta.imag**2 * i
+        shift = a - 3.5 * i
+        # the shift cycle wraps: pair, 3.5, then the pair again
+        polys = [i, lin, quad, shift @ quad, lin @ shift @ quad, quad @ shift @ quad]
+        assert_unit_columns_match(cols, [p @ v for p in polys], rtol=1e-10)
 
     def test_chebyshev_recurrence_explicit(self):
         a = rng(51).standard_normal((7, 7))
         v = rng(52).standard_normal(7)
         d, c = 0.5, 2.0
-        cols = build_krylov_block(
-            lambda x: a @ x, v, 4, ChebyshevBasis(d, c), normalize=False
-        )
+        cols = build_krylov_block(lambda x: a @ x, v, 4, ChebyshevBasis(d, c))
         i = np.eye(7)
         t1 = (a - d * i) @ v / c
         t2 = (2.0 / c) * (a - d * i) @ t1 - v
         t3 = (2.0 / c) * (a - d * i) @ t2 - t1
-        np.testing.assert_allclose(cols[:, 1], t1, rtol=1e-13)
-        np.testing.assert_allclose(cols[:, 2], t2, rtol=1e-13)
-        np.testing.assert_allclose(cols[:, 3], t3, rtol=1e-12)
-
-    def test_chebyshev_scale_guard_rescales_columns(self):
-        a = rng(53).standard_normal((7, 7))
-        v = rng(54).standard_normal(7)
-        plain = build_krylov_block(
-            lambda x: a @ x, v, 4, ChebyshevBasis(0.0, 1.0), normalize=False
-        )
-        guarded = build_krylov_block(
-            lambda x: a @ x, v, 4, ChebyshevBasis(0.0, 1.0, scale=4.0),
-            normalize=False,
-        )
-        for j in range(4):
-            np.testing.assert_allclose(
-                guarded[:, j] * 4.0 ** j, plain[:, j], rtol=1e-12
-            )
+        assert_unit_columns_match(cols, [v, t1, t2, t3], rtol=1e-12)
 
     def test_invariant_subspace_truncates(self):
         # op sends e1 -> e2 -> 0, so the block stops at width 2
@@ -398,8 +379,6 @@ class TestBuildKrylovBlock:
             NewtonBasis(())
         with pytest.raises(ValueError, match="degenerate"):
             ChebyshevBasis(1.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ChebyshevBasis(1.0, 1.0, scale=0.0)
         with pytest.raises(ValueError, match="conjugation"):
             RitzSet(np.array([1.0 + 1.0j]))
         with pytest.raises(TypeError, match="unknown basis"):

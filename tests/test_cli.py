@@ -207,6 +207,22 @@ class TestInfoCommand:
         got = dict(line.split(": ", 1) for line in out.strip().splitlines())
         assert got["symmetric"] == "no"
 
+    def test_cond2_skipped_above_dense_limit(self, capsys, tmp_path):
+        # a dense cond2 at n = 800 takes the better part of a minute, so
+        # info stops measuring past n = 500
+        n = 501
+        path = tmp_path / "eye.mtx"
+        entries = ["%d %d 1.0" % (i, i) for i in range(1, n + 1)]
+        lines = ["%%MatrixMarket matrix coordinate real general", "%d %d %d" % (n, n, n)]
+        path.write_text("\n".join(lines + entries) + "\n")
+        code, out, _ = run(capsys, "info", "--matrix", str(path))
+        assert code == 0
+        got = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert got["n"] == "501"
+        assert got["cond2"] == (
+            "skipped (n = 501 exceeds the dense SVD limit of 500)"
+        )
+
     def test_generated_matrix_condition(self, capsys, tmp_path):
         out = str(tmp_path / "m.mtx")
         run(capsys, "gen", "--randsvd", "20,1e6,1,17", "--out", out)

@@ -190,7 +190,7 @@ class TestSolveBasics:
 
     @pytest.mark.parametrize("length", [1, 4])
     def test_jacobi_preconditioner_length_must_match(self, length):
-        prec = Preconditioner("jacobi", np.full(length, 2.0))
+        prec = Preconditioner(np.full(length, 2.0))
         with pytest.raises(ValueError, match=r"\(%d,\).*n=6" % length):
             solve(np.eye(6), np.ones(6), preconditioner=prec)
 

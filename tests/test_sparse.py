@@ -124,6 +124,16 @@ class TestCsr:
         with pytest.raises(ValueError, match="real"):
             CsrMatrix(1, [0, 1], [0], [1.0 + 1.0j])
 
+    def test_builders_reject_complex(self):
+        # a cast would keep only the real parts and build a different matrix
+        with pytest.raises(ValueError, match="real"):
+            csr_from_coo(2, [0, 1], [0, 1], [1.0 + 1.0j, 2.0])
+        with pytest.raises(ValueError, match="real"):
+            csr_from_dense(np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0]]))
+        # a complex dtype with zero imaginary parts is still complex input
+        with pytest.raises(ValueError, match="real"):
+            csr_from_dense(np.eye(2, dtype=complex))
+
     def test_diagonal_extraction(self):
         dense = np.array([[2.0, 1.0], [0.0, 0.0]])
         assert_allclose(csr_from_dense(dense).diagonal(), [2.0, 0.0], atol=0.0)
@@ -231,10 +241,10 @@ class TestPreconditioner:
         with pytest.raises(ValueError, match="row 1"):
             jacobi_preconditioner(csr_from_dense(dense))
 
-    def test_unknown_kind_rejected(self):
-        for kind in ("ilu", "none"):
-            with pytest.raises(ValueError):
-                Preconditioner(kind)
+    def test_diagonal_must_be_real_nonzero_finite(self):
+        for diag in ([1.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [1.0 + 1.0j, 2.0]):
+            with pytest.raises(ValueError, match="jacobi preconditioner"):
+                Preconditioner(np.array(diag))
 
 
 class TestRandSvd:
