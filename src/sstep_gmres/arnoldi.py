@@ -36,13 +36,20 @@ __all__ = [
 class OperatorSet:
     """Callables defining the preconditioned system, all vector -> vector.
 
-    ``basis_op`` is the operator used to build polynomial Krylov blocks;
-    it may equal the plain matvec or fold in the preconditioners.
+    ``basis_op`` is the operator used to build polynomial Krylov blocks.
+    When it is the very object ``matvec``, or when
+    ``basis_preconditioned`` declares that it returns
+    ``left_inv(matvec(x))`` bit for bit, a classical step turns the
+    images computed while building K into columns of W = M^{-1} A K and
+    applies the system operator afresh only to the columns past them:
+    a block of width s then costs s applies, not 2s - 1. Any other
+    basis operator (a scaled one, say) gets every W column afresh.
     """
 
     matvec: Callable
     left_inv: Callable
     basis_op: Callable
+    basis_preconditioned: bool = False
 
 
 @dataclass
@@ -111,16 +118,16 @@ class ArnoldiState:
         return self.b_concat[:, : self.inner_cols]
 
 
-def _apply_columns(f, m):
-    out = np.empty_like(m)
-    for j in range(m.shape[1]):
-        out[:, j] = f(m[:, j])
-    return out
+def _finish_step(state, ops, b, orth_step, w_known=(), projections=0, intra_qrs=0):
+    """Commit candidate block b: W = M^{-1} A b, then extend [r | W] = V R.
 
-
-def _finish_step(state, ops, b, orth_step, projections=0, intra_qrs=0):
+    ``w_known[i]``, when given, is column i of W as already computed
+    elsewhere; only the columns past them get a fresh apply.
+    """
     width = b.shape[1]
-    w = _apply_columns(lambda x: ops.left_inv(ops.matvec(x)), b)
+    w = np.empty_like(b)
+    for j in range(width):
+        w[:, j] = w_known[j] if j < len(w_known) else ops.left_inv(ops.matvec(b[:, j]))
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
     state.w_colnorm2[start : start + width] = np.sum(w * w, axis=0)
@@ -128,15 +135,14 @@ def _finish_step(state, ops, b, orth_step, projections=0, intra_qrs=0):
     return StepReport(start, width, projections, intra_qrs)
 
 
-def _candidate_block(state, ops, basis, s):
+def _candidate_block(state, apply_op, basis, s):
     if state.vr.ncols == 0:
         raise ValueError("seed the state before stepping")
     room = state.max_inner - state.inner_cols
     if room <= 0:
         raise ValueError("no inner columns left; restart or stop")
     seed = state.vr.q[:, state.vr.ncols - 1].copy()
-    k = build_krylov_block(ops.basis_op, seed, min(s, room), basis)
-    return k
+    return build_krylov_block(apply_op, seed, min(s, room), basis)
 
 
 # Accumulated candidate blocks must keep sigma_min >= 1/2: that is the
@@ -206,9 +212,31 @@ def _enforce_span_budget(state, report, attempted):
 
 
 def classical_step(state, ops, basis, s, orth_step):
-    """One s-step block using the raw polynomial block as candidate."""
-    k = _candidate_block(state, ops, basis, s)
-    return _finish_step(state, ops, k, orth_step)
+    """One s-step block using the raw polynomial block as candidate.
+
+    ``build_krylov_block`` applies the basis operator once to each of
+    K's columns but the last, in order, and leaves the results alone, so
+    its recorded outputs are the operator images of k_0, k_1, ...; when
+    ``ops`` marks the basis operator as the system's (see
+    ``OperatorSet``), they become W's leading columns. A block of width
+    s then costs s - 1 applies in K and one fresh apply for k_{s-1};
+    after an early truncation every column already has its image.
+    """
+    images = []
+
+    def recording_op(x):
+        y = ops.basis_op(x)
+        images.append(y)
+        return y
+
+    k = _candidate_block(state, recording_op, basis, s)
+    if ops.basis_op is ops.matvec:
+        w_known = [ops.left_inv(y) for y in images]
+    elif ops.basis_preconditioned:
+        w_known = images
+    else:
+        w_known = ()
+    return _finish_step(state, ops, k, orth_step, w_known)
 
 
 def modified_step(state, ops, basis, s, orth_step):
@@ -236,7 +264,7 @@ def modified_step(state, ops, basis, s, orth_step):
     orthonormal, and the step reduces to the classical one bit for
     bit.
     """
-    k = _candidate_block(state, ops, basis, s)
+    k = _candidate_block(state, ops.basis_op, basis, s)
     if k.shape[1] > 1:
         prev = state.vr.q[:, : state.vr.ncols - 1]
         y = k - prev @ (prev.T @ k)

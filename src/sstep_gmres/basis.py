@@ -213,6 +213,13 @@ def build_krylov_block(apply_op, v, s, kind):
     An exactly vanishing new column (invariant subspace) truncates the
     block to its actual width.
 
+    ``apply_op`` is called exactly once per generated column, on the
+    previous column (bit for bit the block's column t on call t), in
+    column order, and its result is never modified in place. A full
+    block therefore applies it to columns 0..width-2, a truncated one to
+    columns 0..width-1; the classical Arnoldi step relies on this to
+    reuse the results as operator images of the block's columns.
+
     Returns an (n, width) array with width <= s.
     """
     v = np.asarray(v, dtype=float)

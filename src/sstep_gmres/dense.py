@@ -227,7 +227,30 @@ def _jacobi_sweeps(w, tol, max_sweeps):
     return False
 
 
-def jacobi_svd_values(m, tol=1e-15, max_sweeps=60):
+# one-sided Jacobi: relative off-diagonal tolerance and sweep cap
+JACOBI_TOL = 1e-15
+JACOBI_MAX_SWEEPS = 60
+
+
+def _finite_pivoted_r(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("singular values require finite entries")
+    return _qrcp_r(a)
+
+
+def _jacobi_values_of_r(r, tol, max_sweeps):
+    # Rotating the rows of the pivoted R factor (columns of R^T) converges
+    # markedly faster than rotating R or the raw input and preserves the
+    # relative accuracy of small values.
+    w = np.array(r.T, order="F")
+    converged = _jacobi_sweeps(w, tol, max_sweeps)
+    sigma = np.sort(np.linalg.norm(w, axis=0))[::-1].copy()
+    if not converged:
+        raise JacobiConvergenceError(sigma, max_sweeps)
+    return sigma
+
+
+def jacobi_svd_values(m, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     """Singular values of m (rows >= cols), descending, by one-sided Jacobi.
 
     The matrix is first reduced to its pivoted R factor, then Jacobi
@@ -245,17 +268,7 @@ def jacobi_svd_values(m, tol=1e-15, max_sweeps=60):
         raise ValueError("jacobi_svd_values needs rows >= cols, got %d x %d" % (rows, cols))
     if cols == 0:
         return np.zeros(0)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("jacobi_svd_values requires finite entries")
-    # Rotating the rows of the pivoted R factor (columns of R^T) converges
-    # markedly faster than rotating R or the raw input and preserves the
-    # relative accuracy of small values.
-    w = np.array(_qrcp_r(a).T, order="F")
-    converged = _jacobi_sweeps(w, tol, max_sweeps)
-    sigma = np.sort(np.linalg.norm(w, axis=0))[::-1].copy()
-    if not converged:
-        raise JacobiConvergenceError(sigma, max_sweeps)
-    return sigma
+    return _jacobi_values_of_r(_finite_pivoted_r(a), tol, max_sweeps)
 
 
 def cond2(m):
@@ -265,14 +278,23 @@ def cond2(m):
     rounding-noise floor (4 * sqrt(rows) * u relative to sigma_max) is
     indistinguishable from exact dependence and also reports inf.
     Wide input is transposed first; singular values are unaffected.
+
+    The pivoted R factor settles most rank losses without Jacobi: R is
+    triangular, so sigma_min <= min |r_kk| and sigma_max >= |r_11|, and
+    a diagonal entry at or below the floor relative to |r_11| puts
+    sigma_min at or below it too.
     """
     a = _as_matrix(m)
     if a.size == 0 or not np.any(a):
         raise ValueError("cond2 requires a nonzero matrix")
     if a.shape[0] < a.shape[1]:
         a = a.T
-    sigma = jacobi_svd_values(a)
-    floor = 4.0 * np.sqrt(a.shape[0]) * UNIT_ROUNDOFF * sigma[0]
-    if sigma[-1] <= floor:
+    ratio = 4.0 * np.sqrt(a.shape[0]) * UNIT_ROUNDOFF
+    r = _finite_pivoted_r(a)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= ratio * diag[0]:
+        return np.inf
+    sigma = _jacobi_values_of_r(r, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+    if sigma[-1] <= ratio * sigma[0]:
         return np.inf
     return float(sigma[0] / sigma[-1])

@@ -153,7 +153,7 @@ def backward_error(matvec, a_fro, b, x):
 class _LeastSquares:
     """Givens-rotated least squares min || beta e1 - H y ||.
 
-    Columns of H arrive one at a time; each gets the accumulated
+    Columns of H arrive a block at a time; each gets the accumulated
     rotations, then one fresh rotation zeroing its subdiagonal entry.
     |g[p]| is then the exact residual norm of the p-column problem.
     """
@@ -166,19 +166,35 @@ class _LeastSquares:
         self.rotations = []
         self.ncols = 0
 
-    def absorb_column(self, h_col):
-        c = self.ncols
-        col = np.zeros(self.t.shape[0])
-        col[: h_col.size] = h_col
+    def absorb_columns(self, h):
+        """Absorb the next ``h.shape[1]`` columns of H.
+
+        Column i of ``h`` holds H's column c = ncols + i in its first
+        c + 2 rows; rows below are ignored. Each earlier rotation acts on
+        a 2 x w row slice of the block and each fresh one on the block's
+        later columns, so every entry sees the same rotations in the same
+        order as when the columns arrive one at a time.
+        """
+        c0 = self.ncols
+        width = h.shape[1]
+        block = np.zeros((self.t.shape[0], width))
+        rows = min(h.shape[0], c0 + width + 1)
+        block[:rows] = np.triu(h[:rows], -(c0 + 1))
         for rot in self.rotations:
-            col[rot.row], col[rot.row + 1] = rot.apply(col[rot.row], col[rot.row + 1])
-        rot = compute_givens(col[c], col[c + 1], row=c)
-        col[c], col[c + 1] = rot.apply(col[c], col[c + 1])
-        col[c + 1] = 0.0
-        self.rotations.append(rot)
-        self.t[:, c] = col
-        self.g[c], self.g[c + 1] = rot.apply(self.g[c], self.g[c + 1])
-        self.ncols += 1
+            i = rot.row
+            block[i], block[i + 1] = rot.apply(block[i], block[i + 1])
+        for j in range(width):
+            c = c0 + j
+            rot = compute_givens(block[c, j], block[c + 1, j], row=c)
+            block[c, j:], block[c + 1, j:] = rot.apply(block[c, j:], block[c + 1, j:])
+            block[c + 1, j] = 0.0
+            self.rotations.append(rot)
+            self.g[c], self.g[c + 1] = rot.apply(self.g[c], self.g[c + 1])
+        self.t[:, c0 : c0 + width] = block
+        self.ncols += width
+
+    def absorb_column(self, h_col):
+        self.absorb_columns(np.asarray(h_col)[:, None])
 
     @property
     def residual_estimate(self):
@@ -271,8 +287,13 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
     left_inv = lambda x: apply_preconditioner_inverse(preconditioner, x)
     ritz_op = lambda x: left_inv(matvec(x))
-    basis_op = matvec if config.basis_operator == "plain" else ritz_op
-    ops = OperatorSet(matvec=matvec, left_inv=left_inv, basis_op=basis_op)
+    preconditioned = config.basis_operator == "preconditioned"
+    ops = OperatorSet(
+        matvec=matvec,
+        left_inv=left_inv,
+        basis_op=ritz_op if preconditioned else matvec,
+        basis_preconditioned=preconditioned,
+    )
     step_fn = classical_step if config.arnoldi == "classical" else modified_step
     orth_step = bcgsi_plus_step if config.orth == "bcgsi+" else bmgs_step
 
@@ -333,8 +354,9 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                     break
 
             absorb_upto = broke_at if broke_at is not None else state.inner_cols
-            for c in range(report.start, absorb_upto):
-                ls.absorb_column(state.vr.r[: c + 2, c + 1].copy())
+            ls.absorb_columns(
+                state.vr.r[: absorb_upto + 1, report.start + 1 : absorb_upto + 1]
+            )
             if broke_at is not None:
                 truncate_after_breakdown(state, broke_at)
 

@@ -2,6 +2,7 @@
 test-matrix generation with prescribed singular spectra."""
 
 import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,29 +146,31 @@ def parse_matrix_market(source):
         return _parse_mm_stream(fh)
 
 
-def _parse_mm_stream(fh):
-    def fail(lineno, msg):
-        raise MatrixMarketError("line %d: %s" % (lineno, msg))
+def _fail(lineno, msg):
+    raise MatrixMarketError("line %d: %s" % (lineno, msg))
 
+
+def _parse_mm_stream(fh):
     header = fh.readline()
     if not header.startswith("%%MatrixMarket"):
-        fail(1, "missing %%MatrixMarket banner")
+        _fail(1, "missing %%MatrixMarket banner")
     parts = header.strip().split()
     if len(parts) != 5:
-        fail(1, "banner must have 5 fields, got %d" % len(parts))
+        _fail(1, "banner must have 5 fields, got %d" % len(parts))
     _, obj, fmt, fld, sym = [p.lower() for p in parts]
     if obj != "matrix":
-        fail(1, "unsupported object %r" % obj)
+        _fail(1, "unsupported object %r" % obj)
     if fmt != "coordinate":
-        fail(1, "unsupported format %r (only coordinate)" % fmt)
+        _fail(1, "unsupported format %r (only coordinate)" % fmt)
     if fld not in ("real", "integer"):
-        fail(1, "unsupported field %r (only real/integer)" % fld)
+        _fail(1, "unsupported field %r (only real/integer)" % fld)
     if sym not in ("general", "symmetric"):
-        fail(1, "unsupported symmetry %r (only general/symmetric)" % sym)
+        _fail(1, "unsupported symmetry %r (only general/symmetric)" % sym)
 
     lineno = 1
     size_line = None
-    for line in fh:
+    # readline, not iteration, keeps tell() usable for the entry section
+    for line in iter(fh.readline, ""):
         lineno += 1
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
@@ -175,49 +178,22 @@ def _parse_mm_stream(fh):
         size_line = stripped
         break
     if size_line is None:
-        fail(lineno, "missing size line")
+        _fail(lineno, "missing size line")
     fields = size_line.split()
     if len(fields) != 3:
-        fail(lineno, "size line must be 'rows cols nnz'")
+        _fail(lineno, "size line must be 'rows cols nnz'")
     try:
         rows_n, cols_n, nnz = (int(f) for f in fields)
     except ValueError:
-        fail(lineno, "size line must hold three integers")
+        _fail(lineno, "size line must hold three integers")
     if rows_n != cols_n:
-        fail(lineno, "matrix must be square, got %d x %d" % (rows_n, cols_n))
+        _fail(lineno, "matrix must be square, got %d x %d" % (rows_n, cols_n))
     if rows_n < 1:
-        fail(lineno, "matrix dimension must be positive")
+        _fail(lineno, "matrix dimension must be positive")
 
-    ri = np.empty(nnz, dtype=np.int64)
-    ci = np.empty(nnz, dtype=np.int64)
-    vv = np.empty(nnz, dtype=float)
-    seen = 0
-    for line in fh:
-        lineno += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if seen >= nnz:
-            fail(lineno, "more entries than the declared %d" % nnz)
-        fields = stripped.split()
-        if len(fields) != 3:
-            fail(lineno, "entry must be 'i j value'")
-        try:
-            i = int(fields[0])
-            j = int(fields[1])
-            v = float(fields[2])
-        except ValueError:
-            fail(lineno, "malformed entry %r" % stripped)
-        if not (1 <= i <= rows_n) or not (1 <= j <= cols_n):
-            fail(lineno, "index (%d, %d) out of range for n=%d" % (i, j, rows_n))
-        if not np.isfinite(v):
-            fail(lineno, "non-finite value")
-        ri[seen] = i - 1
-        ci[seen] = j - 1
-        vv[seen] = v
-        seen += 1
-    if seen != nnz:
-        fail(lineno + 1, "expected %d entries, found %d" % (nnz, seen))
+    if not fh.seekable():
+        fh = io.StringIO(fh.read())
+    ri, ci, vv = _read_entries(fh, lineno, rows_n, nnz)
 
     if sym == "symmetric":
         off = ri != ci
@@ -225,6 +201,68 @@ def _parse_mm_stream(fh):
         ci = np.concatenate([ci, ri[:nnz][off]])
         vv = np.concatenate([vv, vv[off]])
     return csr_from_coo(rows_n, ri, ci, vv)
+
+
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _read_entries(fh, lineno, n, nnz):
+    """Zero-based (rows, cols, values) of the entries left in ``fh``.
+
+    ``lineno`` is the line number of the size line. One ``np.loadtxt``
+    over the stream parses well-formed input, and the checks run on
+    whole arrays. Input that fails any of them (or that only Python's
+    own number syntax accepts, such as digit underscores, or that has
+    comment lines) is read again by the line scan, which names the first
+    offending line.
+    """
+    start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            entries = np.loadtxt(fh, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+        except ValueError:
+            entries = None
+    if entries is not None and entries.size == nnz:
+        i, j, v = entries["i"], entries["j"], entries["v"]
+        if np.all((i >= 1) & (i <= n) & (j >= 1) & (j <= n)) and np.all(np.isfinite(v)):
+            return i - 1, j - 1, v.copy()
+    fh.seek(start)
+    return _scan_entries(fh, lineno, n, nnz)
+
+
+def _scan_entries(lines, lineno, n, nnz):
+    ri = np.empty(nnz, dtype=np.int64)
+    ci = np.empty(nnz, dtype=np.int64)
+    vv = np.empty(nnz, dtype=float)
+    seen = 0
+    for line in lines:
+        lineno += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        if seen >= nnz:
+            _fail(lineno, "more entries than the declared %d" % nnz)
+        fields = stripped.split()
+        if len(fields) != 3:
+            _fail(lineno, "entry must be 'i j value'")
+        try:
+            i = int(fields[0])
+            j = int(fields[1])
+            v = float(fields[2])
+        except ValueError:
+            _fail(lineno, "malformed entry %r" % stripped)
+        if not (1 <= i <= n) or not (1 <= j <= n):
+            _fail(lineno, "index (%d, %d) out of range for n=%d" % (i, j, n))
+        if not np.isfinite(v):
+            _fail(lineno, "non-finite value")
+        ri[seen] = i - 1
+        ci[seen] = j - 1
+        vv[seen] = v
+        seen += 1
+    if seen != nnz:
+        _fail(lineno + 1, "expected %d entries, found %d" % (nnz, seen))
+    return ri, ci, vv
 
 
 def write_matrix_market(a, sink):

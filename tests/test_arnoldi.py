@@ -134,6 +134,44 @@ class TestClassicalStep:
         resid = np.linalg.norm(lhs - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(lhs)
 
+    @pytest.mark.parametrize(
+        "basis",
+        [MonomialBasis(), NewtonBasis((3.0 + 1.0j, 3.0 - 1.0j, 2.5)), ChebyshevBasis(3.0, 1.0)],
+    )
+    def test_reused_images_match_fresh_applies_bitwise(self, basis):
+        # the K build's operator images become W's leading columns when
+        # the basis operator is matvec itself or is declared to be
+        # left_inv(matvec(.)); an undeclared one gets fresh applies, which
+        # must give the same bits at 2s - 1 applies per block instead of s
+        g = rng(15)
+        a = matrix_with_cond(18, 18, 1e2, seed=15) + np.diag(g.uniform(2, 4, 18))
+        d = np.diag(a).copy()
+        applies = []
+
+        def mv(x):
+            applies.append(1)
+            return a @ x
+
+        left = lambda x: x / d
+        pre = lambda x: left(mv(x))
+        pairs = [
+            (OperatorSet(mv, left, basis_op=mv), OperatorSet(mv, left, lambda x: mv(x))),
+            (OperatorSet(mv, left, pre, basis_preconditioned=True), OperatorSet(mv, left, pre)),
+        ]
+        r = left(rng(16).standard_normal(18))
+        for reuse, fresh in pairs:
+            runs = []
+            for ops in (reuse, fresh):
+                applies.clear()
+                state, _, _ = run_cycle(a, r, 4, 3, classical_step, basis=basis, ops=ops)
+                runs.append((state, len(applies)))
+            (got, got_applies), (want, want_applies) = runs
+            assert (got_applies, want_applies) == (3 * 4, 3 * 7)
+            for field in ("b_concat", "w_colnorm2"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.vr.q.tobytes() == want.vr.q.tobytes()
+            assert got.vr.r.tobytes() == want.vr.r.tobytes()
+
 
 class TestModifiedStep:
     def test_arnoldi_relation_and_spans(self):

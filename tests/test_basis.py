@@ -385,3 +385,83 @@ class TestBuildKrylovBlock:
             build_krylov_block(lambda x: x, np.ones(3), 2, "monomial")
         with pytest.raises(ValueError, match="positive"):
             build_krylov_block(lambda x: x, np.ones(3), 0, MonomialBasis())
+
+
+def _rotation_plus_diag():
+    # [[1, -2], [2, 1]] has eigenvalues 1 +- 2i, so the pair's quadratic
+    # annihilates e1 exactly; diag(3, 5) pads the operator to n = 4
+    a = np.diag([0.0, 0.0, 3.0, 5.0])
+    a[:2, :2] = [[1.0, -2.0], [2.0, 1.0]]
+    return a
+
+
+def _e1_to_e2():
+    nilp = np.zeros((4, 4))
+    nilp[1, 0] = 1.0
+    return nilp
+
+
+def _unit(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+# name -> (operator, start vector, s, basis, returned width)
+APPLY_ORDER_CASES = {
+    "monomial": (
+        rng(61).standard_normal((10, 10)), rng(62).standard_normal(10), 5,
+        MonomialBasis(), 5,
+    ),
+    "newton_real": (
+        rng(63).standard_normal((10, 10)), rng(64).standard_normal(10), 5,
+        NewtonBasis((0.5, -1.0, 2.0)), 5,
+    ),
+    "newton_pair": (
+        rng(65).standard_normal((10, 10)), rng(66).standard_normal(10), 6,
+        NewtonBasis((1.0 + 2.0j, 1.0 - 2.0j, 0.5)), 6,
+    ),
+    "chebyshev": (
+        rng(67).standard_normal((10, 10)), rng(68).standard_normal(10), 5,
+        ChebyshevBasis(0.0, 1.5), 5,
+    ),
+    # e1 -> e2 -> 0: truncated at width 2
+    "monomial_truncated": (_e1_to_e2(), _unit(4, 0), 4, MonomialBasis(), 2),
+    # e1 is an eigenvector for the shift: truncated at width 1
+    "newton_truncated": (np.diag([2.0, 3.0, 5.0, 7.0]), _unit(4, 0), 3,
+                         NewtonBasis((2.0,)), 1),
+    # the second half of the conjugate pair vanishes: truncated at width 2
+    "newton_pair_truncated": (_rotation_plus_diag(), _unit(4, 0), 4,
+                              NewtonBasis((1.0 + 2.0j, 1.0 - 2.0j)), 2),
+}
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestApplyOrderContract:
+    """build_krylov_block calls apply_op once per generated column, on the
+    previous column, in order, and never modifies a result in place: the
+    classical step turns those results into columns of W."""
+
+    @pytest.mark.parametrize("case", sorted(APPLY_ORDER_CASES))
+    def test_calls_see_columns_in_order_and_outputs_stay_put(self, case):
+        a, v, s, kind, width = APPLY_ORDER_CASES[case]
+        op = lambda x: a @ x
+        calls = []
+
+        def recording(x):
+            y = op(x)
+            calls.append((x.copy(), y, y.copy()))
+            return y
+
+        cols = build_krylov_block(recording, v, s, kind)
+        assert cols.shape[1] == width
+        # a full block leaves its last column unapplied; a truncated one
+        # applied every column it returns
+        assert len(calls) == (width - 1 if width == s else width)
+        for t, (x_in, y, y_then) in enumerate(calls):
+            assert _bits(x_in) == _bits(cols[:, t])
+            assert _bits(y) == _bits(y_then)
+            assert _bits(y) == _bits(op(cols[:, t]))

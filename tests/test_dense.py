@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from sstep_gmres import dense
 from sstep_gmres.dense import (
     UNIT_ROUNDOFF,
     GivensRotation,
@@ -269,6 +270,20 @@ class TestCond2:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             cond2(np.zeros((4, 2)))
+
+    def test_rank_loss_settled_by_pivoted_r(self, monkeypatch):
+        def no_jacobi(*args):
+            raise AssertionError("Jacobi ran")
+
+        monkeypatch.setattr(dense, "_jacobi_sweeps", no_jacobi)
+        g = rng(5)
+        v = g.standard_normal((30, 1))
+        lost = np.hstack([g.standard_normal((30, 3)), v, 3.0 * v, g.standard_normal((30, 2))])
+        assert cond2(lost) == np.inf
+        assert cond2(lost.T) == np.inf
+        # full rank, however ill conditioned, still goes to Jacobi
+        with pytest.raises(AssertionError, match="Jacobi ran"):
+            cond2(matrix_with_cond(40, 6, 1e12, seed=6))
 
     def test_prescribed_condition(self):
         m = matrix_with_cond(60, 10, 1e6, seed=21)

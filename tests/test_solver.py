@@ -4,8 +4,9 @@ statuses, restarts, preconditioning, and determinism."""
 import numpy as np
 import pytest
 
+import sstep_gmres.solver as solver_module
 from sstep_gmres.diagnostics import csv_text
-from sstep_gmres.dense import UNIT_ROUNDOFF
+from sstep_gmres.dense import UNIT_ROUNDOFF, compute_givens
 from sstep_gmres.solver import (
     SolveResult,
     SolverConfig,
@@ -70,6 +71,38 @@ class TestLeastSquares:
     def test_zero_columns_give_zero_solution(self):
         ls = _LeastSquares(3, 5.0)
         assert ls.coefficients().size == 0
+
+    def test_block_absorption_matches_scalar_rotations_bitwise(self):
+        # reference: every column rotated entry pair by entry pair as it
+        # arrives, the fresh rotation last
+        p = 23
+        g = rng(51)
+        h = np.triu(g.standard_normal((p + 1, p)), -1)
+        t_ref = np.zeros((p + 1, p))
+        g_ref = np.zeros(p + 1)
+        g_ref[0] = 1.5
+        rotations = []
+        for c in range(p):
+            col = np.zeros(p + 1)
+            col[: c + 2] = h[: c + 2, c]
+            for rot in rotations:
+                i = rot.row
+                col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
+            rot = compute_givens(col[c], col[c + 1], row=c)
+            col[c], col[c + 1] = rot.apply(col[c], col[c + 1])
+            col[c + 1] = 0.0
+            rotations.append(rot)
+            t_ref[:, c] = col
+            g_ref[c], g_ref[c + 1] = rot.apply(g_ref[c], g_ref[c + 1])
+        # blocks of uneven widths, each handed over as a slice of H whose
+        # rows below the Hessenberg band must be ignored
+        full = h + np.tril(g.standard_normal((p + 1, p)), -2)
+        ls = _LeastSquares(p, 1.5)
+        for lo, hi in ((0, 1), (1, 5), (5, 6), (6, 13), (13, 23)):
+            ls.absorb_columns(full[: hi + 1, lo:hi])
+        assert ls.ncols == p
+        assert ls.t.tobytes() == np.asfortranarray(t_ref).tobytes()
+        assert ls.g.tobytes() == g_ref.tobytes()
 
 
 def converged_families():
@@ -393,3 +426,51 @@ class TestRecordsAndDeterminism:
         r2 = solve(a, b, config=cfg)
         np.testing.assert_array_equal(r1.x, r2.x)
         assert csv_text(r1.records) == csv_text(r2.records)
+
+
+class TestOperatorApplyCounts:
+    """spmv calls per solve. A classical block of width w costs w + 1
+    applies: w - 1 while building K, whose images are W's leading
+    columns, one fresh apply for the last column and one for the
+    backward error. A modified block of width w costs 2w. On top come s
+    for the Ritz warm-up (Newton and Chebyshev) and 1 per cycle."""
+
+    @pytest.fixture
+    def spmv_calls(self, monkeypatch):
+        calls = []
+        spmv = solver_module.spmv
+
+        def counting(a, x):
+            calls.append(1)
+            return spmv(a, x)
+
+        monkeypatch.setattr(solver_module, "spmv", counting)
+        return calls
+
+    def run(self, arnoldi, basis, basis_operator):
+        a = csr_from_dense(clustered_spectrum_matrix(60, 0.6, seed=5))
+        config = SolverConfig(
+            s=4, basis=basis, arnoldi=arnoldi, restart=20, basis_operator=basis_operator
+        )
+        res = solve(a, rng(6).standard_normal(60), config=config,
+                    preconditioner=jacobi_preconditioner(a))
+        assert res.status == "converged_backward"
+        # no block narrowed: every width is s
+        assert res.inner_iterations == 4 * res.block_steps
+        return res
+
+    @pytest.mark.parametrize(
+        "basis,basis_operator,warmup",
+        [("monomial", "plain", 0), ("newton", "preconditioned", 4),
+         ("chebyshev", "plain", 4)],
+    )
+    def test_classical_block_costs_width_plus_one(
+        self, spmv_calls, basis, basis_operator, warmup
+    ):
+        res = self.run("classical", basis, basis_operator)
+        blocks = res.inner_iterations + res.block_steps
+        assert len(spmv_calls) == blocks + warmup + res.cycles
+
+    def test_modified_block_costs_twice_its_width(self, spmv_calls):
+        res = self.run("modified", "newton", "preconditioned")
+        assert len(spmv_calls) == 2 * res.inner_iterations + 4 + res.cycles

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sstep_gmres import sparse
 from sstep_gmres.sparse import (
     CsrMatrix,
     csr_from_coo,
@@ -83,11 +84,55 @@ class TestParse:
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", "expected 2"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 5.0\n", "more entries"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 one 1.0\n", "line 3"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n", "line 3"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n% c\n2 2 nan\n", "line 6"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n\n1 1 1.0\n2 3 1.0\n", "line 5"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(MatrixMarketError, match=fragment):
             mm(text)
+
+    def test_bulk_parse_matches_line_scan(self):
+        # the one-call loadtxt read against the line-by-line reference
+        g = rng(8)
+        n = 40
+        entries = [
+            "%d %d %s" % (i, j, v)
+            for i, j, v in zip(
+                g.integers(1, n + 1, 600),
+                g.integers(1, n + 1, 600),
+                [repr(float(x)) for x in g.standard_normal(300) * 10.0 ** g.integers(-30, 30, 300)]
+                + ["3", "-0", "+2.5", "1e-310", ".5", "5."] * 50,
+            )
+        ]
+        text = "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n%s\n" % (
+            n, n, len(entries), "\n".join(entries))
+        got = mm(text)
+        ri, ci, vv = sparse._scan_entries(io.StringIO("\n".join(entries)), 2, n, len(entries))
+        want = csr_from_coo(n, ri, ci, vv)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.col_idx, want.col_idx)
+        assert np.array_equal(got.row_ptr, want.row_ptr)
+
+    def test_comment_lines_and_python_number_syntax_in_entries(self):
+        plain = mm("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 10.0\n2 2 3.0\n")
+        spaced = mm(
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+            "% entries follow\n1 1 1_0\n\n2 2 3.0\n"
+        )
+        assert np.array_equal(spaced.to_dense(), plain.to_dense())
+
+    def test_non_seekable_stream(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+            def tell(self):
+                raise io.UnsupportedOperation("not seekable")
+
+        a = parse_matrix_market(Pipe(GENERAL_3X3))
+        assert np.array_equal(a.to_dense(), mm(GENERAL_3X3).to_dense())
 
     def test_integer_field_accepted(self):
         a = mm("%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 3\n")
