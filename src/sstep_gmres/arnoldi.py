@@ -36,10 +36,11 @@ __all__ = [
 class OperatorSet:
     """Callables defining the preconditioned system, all vector -> vector.
 
-    ``basis_op`` is the operator used to build polynomial Krylov blocks.
-    When it is the very object ``matvec``, or when
-    ``basis_preconditioned`` declares that it returns
-    ``left_inv(matvec(x))`` bit for bit, a classical step turns the
+    ``basis_op`` is the operator a classical step builds its polynomial
+    Krylov blocks with; a modified step always uses ``system_op``,
+    M^{-1} A (see ``modified_step``). When ``basis_op`` is the very
+    object ``matvec``, or when ``basis_preconditioned`` declares that it
+    returns ``left_inv(matvec(x))`` bit for bit, a classical step turns the
     images computed while building K into columns of W = M^{-1} A K and
     applies the system operator afresh only to the columns past them:
     a block of width s then costs s applies, not 2s - 1. Any other
@@ -50,6 +51,10 @@ class OperatorSet:
     left_inv: Callable
     basis_op: Callable
     basis_preconditioned: bool = False
+
+    def system_op(self, x):
+        """M^{-1} A x."""
+        return self.left_inv(self.matvec(x))
 
 
 @dataclass
@@ -263,8 +268,13 @@ def modified_step(state, ops, basis, s, orth_step):
     blocks skip all of this: a lone seed column is already
     orthonormal, and the step reduces to the classical one bit for
     bit.
+
+    K is built with ``ops.system_op`` whatever ``ops.basis_op`` is. The
+    span test measures each candidate against its block's basis
+    columns, which are M^{-1} A images; K built from A alone fails it
+    past the seed column under any preconditioner but the identity.
     """
-    k = _candidate_block(state, ops.basis_op, basis, s)
+    k = _candidate_block(state, ops.system_op, basis, s)
     if k.shape[1] > 1:
         prev = state.vr.q[:, : state.vr.ncols - 1]
         y = k - prev @ (prev.T @ k)

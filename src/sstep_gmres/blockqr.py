@@ -117,9 +117,13 @@ def bmgs_step(state, x):
 
 
 def loss_of_orthogonality(q):
-    """|| I - Q^T Q ||_2 of the given columns."""
+    """|| I - Q^T Q ||_2 of the given columns.
+
+    The matrix is symmetric, so its 2-norm is its largest eigenvalue in
+    magnitude: one ``eigvalsh`` rather than an SVD.
+    """
     q = np.asarray(q)
     if q.size == 0:
         return 0.0
-    gram = q.T @ q
-    return float(np.linalg.norm(np.eye(q.shape[1]) - gram, 2))
+    ev = np.linalg.eigvalsh(np.eye(q.shape[1]) - q.T @ q)
+    return float(max(-ev[0], ev[-1]))

@@ -126,7 +126,8 @@ def _build_parser():
         "--basis-operator",
         choices=("plain", "preconditioned"),
         default="plain",
-        help="operator used to build the polynomial basis",
+        help="operator the classical variant builds the polynomial basis with; "
+        "the modified variant always uses the preconditioned one",
     )
     p.add_argument(
         "--csv", metavar="PATH", default=None, help="write per-step diagnostics here"
@@ -137,7 +138,8 @@ def _build_parser():
         type=int,
         default=1,
         metavar="K",
-        help="measure basis conditioning on every K-th block step",
+        help="measure basis conditioning on every K-th block step of a cycle "
+        "and on a step that ends the run by convergence or breakdown",
     )
     p.set_defaults(run=_run_solve)
 

@@ -4,6 +4,16 @@ The solver's QR is LAPACK's (through numpy); the pivoted QR and Jacobi SVD
 behind the conditioning diagnostics stay in-package, so the measurements
 do not share a code path with what they measure.
 
+``cond2`` measures in one of two ways, chosen from its input. A
+near-orthonormal matrix A, one with ||I - A^T A||_2 <= 1/2, gets its
+condition number from the eigenvalues of the symmetric matrix
+E = I - A^T A: one GEMM and one LAPACK ``dsyevd``. Everything else goes
+through the pivoted R factor and one-sided Jacobi. The Gram path never
+factors A. It forms A^T A from A's entries by a plain matrix product and
+diagonalizes that, so it shares no step with the Householder QR that
+produced the basis it measures: whatever orthogonality the QR lost
+appears in E entry by entry.
+
 Everything downstream (block orthogonalization, the Arnoldi processes, the
 least-squares update, the conditioning diagnostics) builds on this module.
 All routines are deterministic for a fixed input on a fixed platform.
@@ -232,10 +242,10 @@ JACOBI_TOL = 1e-15
 JACOBI_MAX_SWEEPS = 60
 
 
-def _finite_pivoted_r(a):
+def _require_finite(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("singular values require finite entries")
-    return _qrcp_r(a)
+    return a
 
 
 def _jacobi_values_of_r(r, tol, max_sweeps):
@@ -268,7 +278,29 @@ def jacobi_svd_values(m, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
         raise ValueError("jacobi_svd_values needs rows >= cols, got %d x %d" % (rows, cols))
     if cols == 0:
         return np.zeros(0)
-    return _jacobi_values_of_r(_finite_pivoted_r(a), tol, max_sweeps)
+    return _jacobi_values_of_r(_qrcp_r(_require_finite(a)), tol, max_sweeps)
+
+
+# the Gram path measures only while every eigenvalue of I - A^T A lies
+# in [-1/2, 1/2], i.e. every squared singular value in [1/2, 3/2]
+GRAM_PATH_RADIUS = 0.5
+
+
+def _gram_cond2(a):
+    """cond2 of a tall, finite a from the spectrum of E = I - a^T a.
+
+    Returns None unless ||E||_2 <= GRAM_PATH_RADIUS. The entry test
+    max |E_ij| <= ||E||_2 rejects most other input before ``eigvalsh``
+    runs, so it then costs one GEMM. With eigenvalues e_1 <= ... <= e_k
+    of E, sigma_i^2 = 1 - e_i, hence cond2 = sqrt((1 - e_1) / (1 - e_k)).
+    """
+    e = np.eye(a.shape[1]) - a.T @ a
+    if np.abs(e).max() > GRAM_PATH_RADIUS:
+        return None
+    ev = np.linalg.eigvalsh(e)
+    if max(-ev[0], ev[-1]) > GRAM_PATH_RADIUS:
+        return None
+    return float(np.sqrt((1.0 - ev[0]) / (1.0 - ev[-1])))
 
 
 def cond2(m):
@@ -278,19 +310,39 @@ def cond2(m):
     rounding-noise floor (4 * sqrt(rows) * u relative to sigma_max) is
     indistinguishable from exact dependence and also reports inf.
     Wide input is transposed first; singular values are unaffected.
+    Empty, zero and non-finite input raise ValueError.
 
-    The pivoted R factor settles most rank losses without Jacobi: R is
-    triangular, so sigma_min <= min |r_kk| and sigma_max >= |r_11|, and
-    a diagonal entry at or below the floor relative to |r_11| puts
-    sigma_min at or below it too.
+    Two measurement paths, chosen from the input:
+
+    - Near-orthonormal input, ||I - A^T A||_2 <= 1/2: the eigenvalues of
+      E = I - A^T A (one GEMM, one ``eigvalsh``) give every sigma^2 in
+      [1/2, 3/2], so the result is at most sqrt(3) and never meets the
+      noise floor. Rounding in A^T A moves an eigenvalue of E by at most
+      rows * u * ||A||_F^2 <= 1.5 * rows * cols * u, and by about
+      sqrt(rows * cols) * u <= (rows + cols) * u / 2 when the rounding
+      errors are independent; ``eigvalsh`` adds a backward error of
+      order cols * u. As sigma^2 >= 1/2, twice that shift bounds the
+      relative error of the result. Unit-norm, nearly orthogonal
+      columns (an orthonormal basis V, the modified variant's stacked
+      candidates) land here.
+    - Everything else: the pivoted R factor, then one-sided Jacobi on
+      it. R settles most rank losses without Jacobi: R is triangular,
+      so sigma_min <= min |r_kk| and sigma_max >= |r_11|, and a diagonal
+      entry at or below the floor relative to |r_11| puts sigma_min at
+      or below it too. Input that fails the Gram test costs one GEMM
+      more than the Jacobi path alone.
     """
     a = _as_matrix(m)
     if a.size == 0 or not np.any(a):
         raise ValueError("cond2 requires a nonzero matrix")
+    _require_finite(a)
     if a.shape[0] < a.shape[1]:
         a = a.T
+    gram = _gram_cond2(a)
+    if gram is not None:
+        return gram
     ratio = 4.0 * np.sqrt(a.shape[0]) * UNIT_ROUNDOFF
-    r = _finite_pivoted_r(a)
+    r = _qrcp_r(a)
     diag = np.abs(np.diag(r))
     if diag.min() <= ratio * diag[0]:
         return np.inf

@@ -1,9 +1,14 @@
 """Per-iteration solver diagnostics and their CSV serialization.
 
 One record is emitted per block step. Condition-number fields are
-optional (skipped steps hold NaN) because they cost a full singular
-value decomposition each; the CSV writes NaN as an empty field and
-floats with repr, so a file round-trips bit for bit.
+optional (skipped steps hold NaN) because a measurement is not free:
+``basis_condition_numbers`` makes three ``cond2`` calls and one
+``loss_of_orthogonality`` on n-row matrices with up to m columns. A
+near-orthonormal matrix (V, the modified variant's candidates) costs one
+GEMM, O(n m^2), and one m x m ``eigvalsh``; an ill-conditioned one (the
+classical variant's candidates) costs a pivoted QR and one-sided Jacobi
+sweeps, O(n m^2) plus O(m^3) per sweep. The CSV writes NaN as an empty
+field and floats with repr, so a file round-trips bit for bit.
 """
 
 import io

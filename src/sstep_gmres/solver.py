@@ -73,9 +73,19 @@ class SolverConfig:
     ``max_outer`` caps block steps when no restart is set and caps
     restart cycles otherwise; left as None with a restart it defaults to
     ceil(n / restart) cycles so a stagnating run still terminates.
-    ``diag_every`` gates the conditioning diagnostics (each measurement
-    costs a singular value decomposition): block step k of a cycle
-    measures them only when k is a multiple.
+    ``diag_every`` gates the conditioning diagnostics: block step k of a
+    cycle measures them when k is a multiple, and a step that ends the
+    run by convergence or breakdown is measured whatever k is. A run
+    stopped by its step or cycle cap measures its last step only on the
+    grid. A measurement on m basis columns costs O(n m^2), plus O(m^3)
+    per one-sided Jacobi sweep on the classical variant's candidates
+    (see ``diagnostics``).
+
+    ``basis_operator`` chooses the operator the classical variant builds
+    its polynomial blocks with: ``plain`` is A, ``preconditioned`` is
+    M^{-1} A. The modified variant always builds them with M^{-1} A, the
+    operator whose images its basis holds, so the setting does not
+    change its runs. Without a preconditioner the two coincide.
     """
 
     s: int = 1

@@ -137,3 +137,12 @@ class TestQrState:
 
     def test_loss_of_orthogonality_empty(self):
         assert loss_of_orthogonality(np.zeros((5, 0))) == 0.0
+
+    @pytest.mark.parametrize(
+        "step,cond", [(bcgsi_plus_step, 1e2), (bmgs_step, 1e6), (bmgs_step, 1e12)]
+    )
+    def test_loss_of_orthogonality_is_the_spectral_norm(self, step, cond):
+        x = matrix_with_cond(120, 24, cond, seed=10)
+        q = run_blocks(step, x, split_widths(24, 6)).q_active
+        want = np.linalg.norm(np.eye(24) - q.T @ q, 2)
+        assert abs(loss_of_orthogonality(q) - want) <= 1e-12 * want

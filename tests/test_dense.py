@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,8 +270,9 @@ class TestCond2:
         assert cond2(np.hstack([v, v])) == np.inf
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            cond2(np.zeros((4, 2)))
+        for m in (np.zeros((4, 2)), np.zeros((2, 4)), np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                cond2(m)
 
     def test_rank_loss_settled_by_pivoted_r(self, monkeypatch):
         def no_jacobi(*args):
@@ -288,6 +291,95 @@ class TestCond2:
     def test_prescribed_condition(self):
         m = matrix_with_cond(60, 10, 1e6, seed=21)
         assert abs(cond2(m) / 1e6 - 1.0) <= 1e-6
+
+
+def near_orthonormal(rows, cols, radius, seed):
+    """U diag(sigma) V^T with every sigma^2 drawn from [1 - radius, 1 + radius]."""
+    g = rng(seed)
+    u, _ = np.linalg.qr(g.standard_normal((rows, cols)))
+    v, _ = np.linalg.qr(g.standard_normal((cols, cols)))
+    sigma = np.sqrt(1.0 - g.uniform(-radius, radius, cols))
+    return (u * sigma) @ v.T
+
+
+def _raise(*args):
+    raise AssertionError("Jacobi path ran")
+
+
+def jacobi_cond(m):
+    sigma = jacobi_svd_values(m if m.shape[0] >= m.shape[1] else m.T)
+    return sigma[0] / sigma[-1]
+
+
+class TestCond2GramPath:
+    """Near-orthonormal input, ||I - A^T A||_2 <= 1/2, is measured from
+    the eigenvalues of I - A^T A and never reaches the Jacobi path."""
+
+    def test_orthonormal_plus_noise_skips_the_jacobi_path(self, monkeypatch):
+        g = rng(50)
+        q, _ = np.linalg.qr(g.standard_normal((300, 150)))
+        m = q + 1e-8 * g.standard_normal((300, 150))
+        want = jacobi_cond(m)
+        monkeypatch.setattr(dense, "_qrcp_r", _raise)
+        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
+        got = cond2(m)
+        assert 1.0 < got < 1.0 + 1e-6
+        assert abs(got / want - 1.0) <= 8 * (300 + 150) * UNIT_ROUNDOFF
+
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 40),
+        st.floats(0.0, 0.45),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_agrees_with_jacobi(self, rows, cols, radius, seed, wide):
+        cols = min(cols, rows)
+        m = near_orthonormal(rows, cols, radius, seed)
+        if wide:
+            m = m.T
+        want = jacobi_cond(m)
+        with mock.patch.object(dense, "_qrcp_r", _raise), \
+                mock.patch.object(dense, "_jacobi_sweeps", _raise):
+            got = cond2(m)
+        assert abs(got / want - 1.0) <= 8 * (rows + cols) * UNIT_ROUNDOFF
+
+    def test_large_gram_entries_reach_jacobi(self):
+        # 2Q: I - A^T A = -3I fails the entry test
+        q, _ = np.linalg.qr(rng(51).standard_normal((40, 6)))
+        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
+            with pytest.raises(AssertionError, match="Jacobi path ran"):
+                cond2(2.0 * q)
+        assert abs(cond2(2.0 * q) - 1.0) <= 1e-14
+
+    def test_small_entries_large_norm_reach_jacobi(self):
+        # A^T A = I - 0.6 * ones/6: every entry of I - A^T A is 0.1, yet
+        # its 2-norm is 0.6, so the eigenvalue test sends it on
+        k = 6
+        gram = np.eye(k) - 0.6 * np.ones((k, k)) / k
+        q, _ = np.linalg.qr(rng(52).standard_normal((40, k)))
+        m = q @ np.linalg.cholesky(gram).T
+        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
+            with pytest.raises(AssertionError, match="Jacobi path ran"):
+                cond2(m)
+        assert abs(cond2(m) / np.sqrt(1.0 / 0.4) - 1.0) <= 1e-13
+
+    def test_rank_loss_with_small_gram_entries_is_inf(self):
+        # columns of Q (I - ones/k): I - A^T A = ones/k has entries 1/4
+        # but the eigenvalue 1, since one direction is lost
+        k = 4
+        q, _ = np.linalg.qr(rng(53).standard_normal((30, k)))
+        m = q @ (np.eye(k) - np.ones((k, k)) / k)
+        assert cond2(m) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        q, _ = np.linalg.qr(rng(54).standard_normal((20, 5)))
+        q[3, 2] = bad
+        with pytest.raises(ValueError):
+            cond2(q)
+        with pytest.raises(ValueError):
+            cond2(q.T)
 
 
 def test_unit_roundoff_value():

@@ -411,6 +411,16 @@ class TestRecordsAndDeterminism:
         assert all(r == "" for r in reasons[:-1])
         assert reasons[-1] == "max_iters"
 
+    def test_iteration_cap_step_follows_the_grid(self):
+        # only a step that ends the run by convergence or breakdown is
+        # measured off the grid; the cap stops the run between steps
+        a = matrix_with_cond(24, 24, 1e2, seed=27)
+        b = rng(28).standard_normal(24)
+        res = solve(a, b, config=SolverConfig(s=3, diag_every=2, tol=1e-30, max_outer=5))
+        assert res.records[-1].stop_reason == "max_iters"
+        measured = [not np.isnan(rec.cond_V) for rec in res.records]
+        assert measured == [False, True, False, True, False]
+
     def test_ls_estimate_monotone_within_cycle(self):
         a = matrix_with_cond(36, 36, 1e4, seed=29)
         b = rng(30).standard_normal(36)
@@ -471,6 +481,25 @@ class TestOperatorApplyCounts:
         blocks = res.inner_iterations + res.block_steps
         assert len(spmv_calls) == blocks + warmup + res.cycles
 
-    def test_modified_block_costs_twice_its_width(self, spmv_calls):
-        res = self.run("modified", "newton", "preconditioned")
-        assert len(spmv_calls) == 2 * res.inner_iterations + 4 + res.cycles
+    @pytest.mark.parametrize(
+        "basis,basis_operator,warmup",
+        [("newton", "preconditioned", 4), ("monomial", "plain", 0)],
+    )
+    def test_modified_block_costs_twice_its_width(
+        self, spmv_calls, basis, basis_operator, warmup
+    ):
+        res = self.run("modified", basis, basis_operator)
+        assert len(spmv_calls) == 2 * res.inner_iterations + warmup + res.cycles
+
+    def test_modified_builds_its_basis_from_the_preconditioned_operator(self):
+        # K built from A would leave the span of the M^{-1} A images the
+        # basis holds, and the span budget would cut every block to one
+        # column; the modified variant therefore ignores basis_operator
+        plain = self.run("modified", "monomial", "plain")
+        pre = self.run("modified", "monomial", "preconditioned")
+        assert plain.x.tobytes() == pre.x.tobytes()
+        assert csv_text(plain.records) == csv_text(pre.records)
+        for name in ("status", "backward_error", "cycles", "block_steps",
+                     "inner_iterations", "candidate_projections",
+                     "candidate_qr_count"):
+            assert getattr(plain, name) == getattr(pre, name)
