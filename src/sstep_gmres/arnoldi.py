@@ -150,57 +150,21 @@ def _candidate_block(state, apply_op, basis, s):
     return build_krylov_block(apply_op, seed, min(s, room), basis)
 
 
-# Accumulated candidate blocks must keep sigma_min >= 1/2: that is the
-# level the conditioning analysis guarantees while every block stays
-# within the span of its own basis columns, and together with unit-norm
-# columns it caps cond2 of the concatenation at 2 sqrt(n) + sqrt(s).
-CANDIDATE_SIGMA_FLOOR = 0.5
-
-
-def _admissible_width(state, q):
-    """Widest prefix of q whose admission keeps the candidate set healthy.
-
-    A column can pass the pivot test yet consist mostly of directions
-    the basis already holds (rounding noise re-fetches content that an
-    earlier, nearly converged column failed to deposit in the basis).
-    Such columns overlap other blocks and sink sigma_min of the
-    concatenated candidates, so admission stops right before the floor
-    would be crossed. The seed column is exempt: the recurrence is
-    defined to start from the newest basis column, and when that column
-    carries nothing new its operator image collapses into the existing
-    span, so the rank test on the R diagonal ends the cycle anyway.
-    """
-    width = q.shape[1]
-    prev = state.b_columns()
-    if prev.shape[1] == 0:
-        return width
-    m = prev.shape[1]
-    cols = np.concatenate([prev, q], axis=1)
-    gram = cols.T @ cols
-    floor = CANDIDATE_SIGMA_FLOOR * CANDIDATE_SIGMA_FLOOR
-
-    def ok(w):
-        return float(np.linalg.eigvalsh(gram[: m + w, : m + w])[0]) >= floor
-
-    w = width
-    while w > 1 and not ok(w):
-        w -= 1
-    return w
-
-
 def _enforce_span_budget(state, report, attempted):
     """Roll the committed block back to its span-consistent prefix.
 
-    The conditioning guarantee for the stacked candidates rests on each
-    candidate column lying in the span of its own block's basis columns
-    (the seed plus the directions its predecessors created). That
-    distance is only measurable after the block orthogonalization has
-    committed those basis columns, so the check runs post-commit and
-    cuts with the breakdown truncation, which keeps the factorization
-    invariant intact. The per-column budget spreads the 1/2
-    perturbation allowance of the guarantee over the worst-case number
-    of blocks and columns a cycle can commit; the seed column always
-    stays (it is itself a basis column).
+    This cut alone holds the stacked candidates B~ at sigma_min >= 1/2,
+    which with unit-norm columns caps cond2(B~) at 2 sqrt(n) + sqrt(s).
+    The guarantee rests on each candidate column lying in the span of
+    its own block's basis columns (the seed plus the directions its
+    predecessors created). That distance is only measurable after the
+    block orthogonalization has committed those basis columns, so the
+    check runs post-commit and cuts with the breakdown truncation, which
+    keeps the factorization invariant intact. The per-column budget
+    spreads the 1/2 perturbation allowance of the guarantee over the
+    worst-case number of blocks and columns a cycle can commit; the
+    seed column always stays (it is itself a basis column). The floor
+    is checked by property tests, not at run time.
     """
     if report.width <= 1:
         return report
@@ -249,25 +213,23 @@ def modified_step(state, ops, basis, s, orth_step):
 
     The polynomial block is projected twice against all basis columns
     except its own seed (the newest one), then replaced by its Q factor.
-    Three rank decisions can narrow the block. Before the commit,
-    columns from the first dead QR pivot on are dropped (past that
+    Two rank decisions can narrow the block. Before the commit,
+    columns from the first dead QR pivot on are dropped: past that
     point the Q factor holds no information about K, only arbitrary
-    orthonormal noise), and non-seed columns are admitted only while
-    sigma_min of the accumulated candidate matrix stays at or above
-    1/2. After the commit, the block is cut at the first candidate
-    column that fails to lie in the span of its own block's new basis
-    columns within the per-column budget: such a column is dominated
-    by projection roundoff, i.e. directions the basis only acquires
-    later, and keeping it is what lets the accumulated candidates lose
-    their conditioning (the cut uses the breakdown truncation, so the
-    factorization invariant survives). Together these keep the
-    condition number of the stacked candidates at the 2 sqrt(n) +
-    sqrt(s) level regardless of how degenerate the polynomial block
-    was, while a healthy block commits at full width. The next block
-    restarts the recurrence from a fresh seed either way. Width-1
-    blocks skip all of this: a lone seed column is already
-    orthonormal, and the step reduces to the classical one bit for
-    bit.
+    orthonormal noise. After the commit, ``_enforce_span_budget`` cuts
+    the block at the first candidate column that fails to lie in the
+    span of its own block's new basis columns within the per-column
+    budget: such a column is dominated by projection roundoff, i.e.
+    directions the basis only acquires later, and keeping it is what
+    lets the accumulated candidates lose their conditioning (the cut
+    uses the breakdown truncation, so the factorization invariant
+    survives). The cut keeps the condition number of the stacked
+    candidates at the 2 sqrt(n) + sqrt(s) level regardless of how
+    degenerate the polynomial block was, while a healthy block commits
+    at full width. The next block restarts the recurrence from a fresh
+    seed either way. Width-1 blocks skip all of this: a lone seed
+    column is already orthonormal, and the step reduces to the
+    classical one bit for bit.
 
     K is built with ``ops.system_op`` whatever ``ops.basis_op`` is. The
     span test measures each candidate against its block's basis
@@ -284,7 +246,6 @@ def modified_step(state, ops, basis, s, orth_step):
             # the seed column enters with unit norm and orthogonal to
             # prev, so it cannot be the dead one; width stays >= 1
             q = q[:, : max(dead, 1)]
-        q = q[:, : _admissible_width(state, q)]
         report = _finish_step(state, ops, q, orth_step, projections=2, intra_qrs=1)
         return _enforce_span_budget(state, report, k.shape[1])
     return _finish_step(state, ops, k, orth_step)

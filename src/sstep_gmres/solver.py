@@ -262,6 +262,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     ``a`` is a CsrMatrix or a square real ndarray; ``b`` and ``x0`` are
     real and finite. ``preconditioner`` applies from the left. Returns a
     SolveResult whose records hold one diagnostics row per block step.
+    Raises ArithmeticError when a residual, R factor, iterate or backward
+    error turns non-finite, rather than report a status for it.
     """
     config = config or SolverConfig()
     matvec, a_fro, n = _system_operators(a)
@@ -374,6 +376,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             x_hat = x + state.b_concat[:, : ls.ncols] @ y
             _check_finite(x_hat)
             b_err = backward_error(matvec, a_fro, b, x_hat)
+            _check_finite(b_err)
             x_cycle = x_hat
 
             if broke_at is not None:
@@ -428,6 +431,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
     if final_b_err is None:
         final_b_err = backward_error(matvec, a_fro, b, x)
+        _check_finite(final_b_err)
     if records and records[-1].stop_reason == "":
         records[-1] = replace(records[-1], stop_reason=final_status)
     return SolveResult(

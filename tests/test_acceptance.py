@@ -3,9 +3,12 @@
 Each test prints a single PASS line with its measured numbers (visible
 with ``pytest -s`` or in captured output on failure). Criteria needing
 the three SuiteSparse matrices skip with download instructions when the
-files are absent; everything else runs self-contained.
+files are absent; everything else runs self-contained. Criteria 5' and
+7' repeat 5 and 7 with their thresholds on generated matrices, so the
+paper's backward-stability and variant comparisons always run.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from sstep_gmres.diagnostics import read_csv
 from sstep_gmres.solver import SolverConfig, _LeastSquares, solve
 from sstep_gmres.sparse import (
     RandSvdSpec,
+    csr_from_coo,
     csr_from_dense,
     gen_randsvd,
     parse_matrix_market,
@@ -28,7 +32,7 @@ from sstep_gmres.sparse import (
 )
 from sstep_gmres.arnoldi import ArnoldiState, OperatorSet, classical_step, modified_step
 
-from helpers import matrix_with_cond, max_principal_angle, rng
+from helpers import matrix_with_cond, max_principal_angle, rng, stencil_coo
 
 SUITESPARSE_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "suitesparse")
 
@@ -304,6 +308,70 @@ def test_criterion_7_qualitative_panels():
         )
     assert max(ratios) >= 1e3
     report(7, "; ".join(lines) + "; worst classical/modified ratio %.1e" % max(ratios))
+
+
+# generated stand-ins for the SuiteSparse matrices: a CSR
+# convection-diffusion stencil and a dense randsvd spectrum over ten decades
+GENERATED_MATRICES = {
+    "stencil_coo(24)": lambda: csr_from_coo(*stencil_coo(24)),
+    "randsvd(200,1e10,5,1)": lambda: gen_randsvd(
+        RandSvdSpec(n=200, kappa=1e10, mode=5, seed=1)
+    )[0],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_panel(name):
+    """Criterion 7's runs on one generated matrix with b = ones: s = 1
+    (both variants coincide there) and both variants at s = 4 and 16."""
+    mat = GENERATED_MATRICES[name]()
+    n = mat.shape[0] if isinstance(mat, np.ndarray) else mat.n
+    runs = {}
+    for arnoldi in ("classical", "modified"):
+        for s in (4, 16):
+            cfg = SolverConfig(s=s, arnoldi=arnoldi, diag_every=10**9)
+            runs[(arnoldi, s)] = solve(mat, np.ones(n), config=cfg)
+    base = solve(mat, np.ones(n), config=SolverConfig(s=1, diag_every=10**9))
+    runs[("classical", 1)] = runs[("modified", 1)] = base
+    return n, runs
+
+
+@pytest.mark.parametrize("name", list(GENERATED_MATRICES))
+def test_criterion_5_prime_standard_gmres_backward_stable(name):
+    n, runs = _generated_panel(name)
+    res = runs[("classical", 1)]
+    assert res.inner_iterations <= n
+    assert res.backward_error <= 10 * n * UNIT_ROUNDOFF
+    report(
+        5,
+        "%s s=1: backward error %.3e <= 10 n u = %.3e in %d iterations"
+        % (name, res.backward_error, 10 * n * UNIT_ROUNDOFF, res.inner_iterations),
+    )
+
+
+@pytest.mark.parametrize("name", list(GENERATED_MATRICES))
+def test_criterion_7_prime_qualitative_panels(name):
+    _, runs = _generated_panel(name)
+    base = runs[("classical", 1)]
+    for s in (4, 16):
+        assert runs[("modified", s)].backward_error <= 100 * base.backward_error, s
+    ratio = runs[("classical", 16)].backward_error / runs[("modified", 16)].backward_error
+    assert ratio >= 1e3
+    for (arnoldi, s), res in runs.items():
+        if res.status in ("breakdown_converged", "key_dimension_reached"):
+            best = min(r.backward_error for r in res.records)
+            assert res.backward_error <= 10 * best, (arnoldi, s)
+    report(
+        7,
+        "%s: s1 %.1e, modified s16 %.1e, classical s16 %.1e, ratio %.1e"
+        % (
+            name,
+            base.backward_error,
+            runs[("modified", 16)].backward_error,
+            runs[("classical", 16)].backward_error,
+            ratio,
+        ),
+    )
 
 
 def test_criterion_8_oracle_equivalence():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sstep_gmres.arnoldi import (
     ArnoldiState,
@@ -15,9 +15,10 @@ from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step, loss_of_orthogonality
 from sstep_gmres.dense import UNIT_ROUNDOFF, cond2
 from sstep_gmres.diagnostics import basis_condition_numbers
+from sstep_gmres.solver import SolverConfig, _resolve_basis
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
-from helpers import matrix_with_cond, max_principal_angle, rng
+from helpers import clustered_spectrum_matrix, matrix_with_cond, max_principal_angle, rng
 
 
 def identity_ops(a):
@@ -289,6 +290,70 @@ class TestModifiedStep:
                     ab - state.basis_columns() @ hess_from_state(state)
                 )
                 assert resid <= 1e-11 * np.linalg.norm(ab)
+
+
+def spectrum_matrix(problem):
+    """Test matrix from ("cond", n, cond, seed), ("clustered", n, radius,
+    seed) or ("randsvd", n, kappa, mode, seed)."""
+    kind, n, *params = problem
+    if kind == "cond":
+        cond, seed = params
+        return matrix_with_cond(n, n, cond, seed=seed)
+    if kind == "clustered":
+        radius, seed = params
+        return clustered_spectrum_matrix(n, radius, seed)
+    kappa, mode, seed = params
+    return gen_randsvd(RandSvdSpec(n=n, kappa=kappa, mode=mode, seed=seed))[0]
+
+
+spectrum_problems = st.one_of(
+    st.tuples(
+        st.just("cond"),
+        st.integers(8, 60),
+        st.sampled_from([1e2, 1e5, 1e8, 1e10]),
+        st.integers(0, 2**16),
+    ),
+    st.tuples(
+        st.just("clustered"),
+        st.integers(8, 60),
+        st.sampled_from([0.3, 0.6, 0.9]),
+        st.integers(0, 2**16),
+    ),
+)
+
+
+class TestCandidateConditioningProperty:
+    @settings(max_examples=60)
+    @given(
+        problem=spectrum_problems,
+        s=st.integers(2, 16),
+        basis=st.sampled_from(["monomial", "newton", "chebyshev"]),
+    )
+    # the span budget cuts 18 of this run's 19 blocks; without the cut
+    # sigma_min(B~) falls to 0.44
+    @example(problem=("randsvd", 40, 1e8, 1, 1), s=8, basis="newton")
+    def test_every_modified_step_keeps_sigma_min_at_half(self, problem, s, basis):
+        # a cycle run the way ``solve`` runs it from x0 = 0 and b = 1: the
+        # warm-up picks the basis, and the rank test ends the cycle.
+        # After every step the stacked candidates B~ keep sigma_min >= 1/2
+        # (measured by numpy's SVD) and hence the paper's cond2 bound.
+        a = spectrum_matrix(problem)
+        n = a.shape[0]
+        s = min(s, n)
+        r = np.ones(n)
+        ops = identity_ops(a)
+        poly = _resolve_basis(SolverConfig(s=s, basis=basis), ops.system_op, r, s)
+        state = ArnoldiState(n, n)
+        state.seed(r, bcgsi_plus_step)
+        bound = 2.0 * np.sqrt(n) + np.sqrt(s)
+        while state.inner_cols < n:
+            modified_step(state, ops, poly, s, bcgsi_plus_step)
+            b_cols = state.b_columns()
+            sigma = np.linalg.svd(b_cols, compute_uv=False)
+            assert sigma[-1] >= 0.5, (state.inner_cols, sigma[-1])
+            assert cond2(b_cols) <= bound
+            if first_dead_r_diagonal(state, np.sqrt(n) * UNIT_ROUNDOFF) is not None:
+                break
 
 
 class TestBreakdownHandling:

@@ -11,6 +11,7 @@ import pytest
 
 from sstep_gmres.cli import main
 from sstep_gmres.diagnostics import CSV_HEADER, read_csv
+from sstep_gmres.sparse import write_matrix_market
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -74,6 +75,26 @@ class TestSolveCommand:
             "--diag-every", "3",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_backward_error_exits_one(self, capsys, tmp_path, scale):
+        # the backward error of this system overflows to inf / inf = NaN;
+        # the run must fail instead of reporting a status
+        g = np.random.default_rng(0)
+        a = 4.0 * np.eye(50) + 0.1 * g.standard_normal((50, 50))
+        b = g.standard_normal(50)
+        matrix_path = str(tmp_path / "a.mtx")
+        rhs_path = str(tmp_path / "b.txt")
+        write_matrix_market(scale * a, matrix_path)
+        np.savetxt(rhs_path, scale * b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(
+                capsys, "solve", "--matrix", matrix_path,
+                "--rhs", "file:%s" % rhs_path, "--summary",
+            )
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
 
 
 class TestUsageErrors:

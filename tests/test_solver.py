@@ -248,6 +248,20 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="finite"):
             solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), b)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_backward_error_raises(self, scale):
+        # ||A||_F and ||A x - b|| overflow, so the backward error is
+        # inf / inf; that NaN must raise rather than become a status
+        g = np.random.default_rng(0)
+        a = 4.0 * np.eye(50) + 0.1 * g.standard_normal((50, 50))
+        b = g.standard_normal(50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                solve(scale * a, scale * b)
+        res = solve(a, b)
+        assert res.status == "converged_backward"
+        assert res.backward_error <= 50 * UNIT_ROUNDOFF
+
 
 class TestRestartsAndCaps:
     def test_restart_equal_to_n_matches_single_cycle(self):
@@ -359,8 +373,8 @@ class TestConditioningUnderStress:
 
     def test_hard_spectrum_holds_bound_and_converges(self):
         # geometric spectrum over ten decades with a wide block: the run
-        # leans on every width decision (dead pivots, the sigma floor,
-        # and the span rollback) yet must stay accurate
+        # leans on both width decisions (dead pivots and the span
+        # rollback) yet must stay accurate
         for s in (8, 16):
             res = self.run_case(64, 1e8, 3, 7, s)
             assert res.status in ("converged_backward", "breakdown_converged")
