@@ -103,12 +103,6 @@ def _build_parser():
         default=None,
         help="basis rank-test tolerance, default sqrt(n)*u",
     )
-    p.add_argument(
-        "--tolls",
-        type=float,
-        default=None,
-        help="projected residual tolerance, default tol",
-    )
     p.add_argument("--restart", type=int, default=None, help="restart length")
     p.add_argument(
         "--max-outer",
@@ -138,8 +132,8 @@ def _build_parser():
         type=int,
         default=1,
         metavar="K",
-        help="measure basis conditioning on every K-th block step of a cycle "
-        "and on a step that ends the run by convergence or breakdown",
+        help="measure basis conditioning on block steps K, 2K, ... of each "
+        "cycle and on no other step",
     )
     p.set_defaults(run=_run_solve)
 
@@ -243,7 +237,6 @@ def _run_solve(args):
             orth=args.orth,
             tol=args.tol,
             tol_h=args.tolh,
-            tol_ls=args.tolls,
             restart=args.restart,
             max_outer=args.max_outer,
             basis_operator=args.basis_operator,
@@ -297,7 +290,10 @@ def _run_info(args):
     print("nnz: %d" % mat.nnz)
     print("symmetric: %s" % ("yes" if _is_symmetric(mat) else "no"))
     print("frobenius_norm: %s" % repr(float(mat.frobenius_norm())))
-    if mat.n <= DENSE_INFO_LIMIT:
+    if not np.any(mat.values):
+        # no nonzero value: A is singular, and cond2 reports rank loss as inf
+        print("cond2: inf")
+    elif mat.n <= DENSE_INFO_LIMIT:
         print("cond2: %s" % repr(float(cond2(mat.to_dense()))))
     else:
         print(

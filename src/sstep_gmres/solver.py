@@ -7,16 +7,18 @@ problem is updated by Givens rotations exactly as in standard GMRES, so
 stopping logic and solution assembly are shared across step sizes; s = 1
 reproduces standard GMRES column for column.
 
-Stopping works in three layers, checked after every block step: an
+Every block step decides whether the run stops, first match wins: an
 exactly rank-deficient new basis column ends the run, because the
 searched space cannot grow (``breakdown_converged`` if the backward
-error test passes at that point, ``key_dimension_reached`` otherwise); a
-small rotated residual triggers an immediate backward-error validation
-(``converged_ls``); and the backward error itself is checked on every
-step (``converged_backward``).
+error passes ``tol`` at that point, ``key_dimension_reached``
+otherwise); otherwise a backward error at or below ``tol`` ends it as
+``converged_backward``; otherwise an exhausted step or cycle budget
+ends it as ``max_iters``.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+import operator
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -55,37 +57,48 @@ ORTH_CHOICES = ("bcgsi+", "bmgs")
 BASIS_OPERATOR_CHOICES = ("plain", "preconditioned")
 
 STATUS_CONVERGED_BACKWARD = "converged_backward"
-STATUS_CONVERGED_LS = "converged_ls"
 STATUS_BREAKDOWN_CONVERGED = "breakdown_converged"
 STATUS_KEY_DIMENSION = "key_dimension_reached"
 STATUS_MAX_ITERS = "max_iters"
 
-CONVERGED_STATUSES = frozenset(
-    {STATUS_CONVERGED_BACKWARD, STATUS_CONVERGED_LS, STATUS_BREAKDOWN_CONVERGED}
-)
+CONVERGED_STATUSES = frozenset({STATUS_CONVERGED_BACKWARD, STATUS_BREAKDOWN_CONVERGED})
+
+
+def _require_count(name, value):
+    # operator.index admits Python and numpy integers but no float;
+    # bool is an int subclass that no caller means as a count
+    if isinstance(value, bool):
+        raise ValueError("%s must be an integer, not a bool" % name)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < 1:
+        raise ValueError("%s must be at least 1" % name)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Algorithmic knobs; tolerances left as None resolve at solve time
-    to tol = n*u, tol_h = sqrt(n)*u, tol_ls = tol, with u = 2^-53.
+    to tol = n*u and tol_h = sqrt(n)*u, with u = 2^-53.
 
     ``max_outer`` caps block steps when no restart is set and caps
     restart cycles otherwise; left as None with a restart it defaults to
     ceil(n / restart) cycles so a stagnating run still terminates.
     ``diag_every`` gates the conditioning diagnostics: block step k of a
-    cycle measures them when k is a multiple, and a step that ends the
-    run by convergence or breakdown is measured whatever k is. A run
-    stopped by its step or cycle cap measures its last step only on the
-    grid. A measurement on m basis columns costs O(n m^2), plus O(m^3)
-    per one-sided Jacobi sweep on the classical variant's candidates
-    (see ``diagnostics``).
+    cycle is measured if and only if k is a multiple of it, so a value
+    above the run's step count switches them off. A measurement on m
+    basis columns costs O(n m^2), plus O(m^3) per one-sided Jacobi sweep
+    on the classical variant's candidates (see ``diagnostics``).
 
     ``basis_operator`` chooses the operator the classical variant builds
     its polynomial blocks with: ``plain`` is A, ``preconditioned`` is
     M^{-1} A. The modified variant always builds them with M^{-1} A, the
     operator whose images its basis holds, so the setting does not
     change its runs. Without a preconditioner the two coincide.
+
+    Counts must be integers (numpy integers included, bool not) and
+    tolerances finite and positive; anything else raises ValueError.
     """
 
     s: int = 1
@@ -94,15 +107,17 @@ class SolverConfig:
     orth: str = "bcgsi+"
     tol: Optional[float] = None
     tol_h: Optional[float] = None
-    tol_ls: Optional[float] = None
     restart: Optional[int] = None
     max_outer: Optional[int] = None
     basis_operator: str = "plain"
     diag_every: int = 1
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be at least 1")
+        _require_count("s", self.s)
+        _require_count("diag_every", self.diag_every)
+        for name in ("restart", "max_outer"):
+            if getattr(self, name) is not None:
+                _require_count(name, getattr(self, name))
         if self.basis not in BASIS_CHOICES:
             raise ValueError("basis must be one of %s" % (BASIS_CHOICES,))
         if self.arnoldi not in ARNOLDI_CHOICES:
@@ -113,16 +128,10 @@ class SolverConfig:
             raise ValueError(
                 "basis_operator must be one of %s" % (BASIS_OPERATOR_CHOICES,)
             )
-        for name in ("tol", "tol_h", "tol_ls"):
+        for name in ("tol", "tol_h"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError("%s must be positive" % name)
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if self.max_outer is not None and self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-        if self.diag_every < 1:
-            raise ValueError("diag_every must be at least 1")
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError("%s must be finite and positive" % name)
 
 
 @dataclass
@@ -172,7 +181,6 @@ class _LeastSquares:
         self.t = np.zeros((capacity + 1, capacity), order="F")
         self.g = np.zeros(capacity + 1)
         self.g[0] = beta
-        self.beta = beta
         self.rotations = []
         self.ncols = 0
 
@@ -295,7 +303,6 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     u = UNIT_ROUNDOFF
     tol = config.tol if config.tol is not None else n * u
     tol_h = config.tol_h if config.tol_h is not None else np.sqrt(n) * u
-    tol_ls = config.tol_ls if config.tol_ls is not None else tol
 
     left_inv = lambda x: apply_preconditioner_inverse(preconditioner, x)
     ritz_op = lambda x: left_inv(matvec(x))
@@ -311,16 +318,17 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
     max_inner = config.restart if config.restart is not None else n
     restarted = config.restart is not None
-    # a restarted run must terminate even while stagnating: without an
-    # explicit cap it gets n total inner iterations, like a plain run
-    max_cycles = config.max_outer if restarted else None
-    if restarted and max_cycles is None:
-        max_cycles = -(-n // max_inner)
+    # a plain run is one cycle; a restarted run must terminate even while
+    # stagnating: without an explicit cap it gets n total inner
+    # iterations, like a plain run
+    max_cycles = 1
+    if restarted:
+        max_cycles = config.max_outer or -(-n // max_inner)
     max_steps = None if restarted else config.max_outer
 
     records = []
-    final_status = None
-    final_b_err = None
+    status = None
+    b_err = None
     cycle = 0
     total_steps = 0
     total_inner = 0
@@ -328,12 +336,12 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     total_cand_qr = 0
     basis = None
 
-    while final_status is None:
+    while status is None:
         cycle += 1
         r = left_inv(b - matvec(x))
         _check_finite(r)
         if np.linalg.norm(r) == 0.0:
-            final_status = STATUS_CONVERGED_BACKWARD
+            status = STATUS_CONVERGED_BACKWARD
             break
         if basis is None:
             # shifts and ellipse parameters come from one warm-up pass on
@@ -342,14 +350,9 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
         state = ArnoldiState(n, max_inner)
         ls = _LeastSquares(max_inner, beta=state.seed(r, orth_step))
         outer = 0
-        status = None
-        x_cycle = x
-        b_err = None
+        x_start = x
 
-        while state.inner_cols < max_inner:
-            if max_steps is not None and outer >= max_steps:
-                status = STATUS_MAX_ITERS
-                break
+        while status is None and state.inner_cols < max_inner:
             outer += 1
             report = step_fn(state, ops, basis, config.s, orth_step)
             total_cand_proj += report.projections
@@ -373,11 +376,10 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 truncate_after_breakdown(state, broke_at)
 
             y = ls.coefficients()
-            x_hat = x + state.b_concat[:, : ls.ncols] @ y
-            _check_finite(x_hat)
-            b_err = backward_error(matvec, a_fro, b, x_hat)
+            x = x_start + state.b_concat[:, : ls.ncols] @ y
+            _check_finite(x)
+            b_err = backward_error(matvec, a_fro, b, x)
             _check_finite(b_err)
-            x_cycle = x_hat
 
             if broke_at is not None:
                 status = (
@@ -385,12 +387,14 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                     if b_err <= tol
                     else STATUS_KEY_DIMENSION
                 )
-            elif ls.residual_estimate <= tol_ls * ls.beta and b_err <= tol:
-                status = STATUS_CONVERGED_LS
             elif b_err <= tol:
                 status = STATUS_CONVERGED_BACKWARD
+            elif outer == max_steps or (
+                cycle == max_cycles and state.inner_cols >= max_inner
+            ):
+                status = STATUS_MAX_ITERS
 
-            if (outer % config.diag_every == 0) or status is not None:
+            if outer % config.diag_every == 0:
                 # past a breakdown the last column holds no new direction,
                 # so the measured bases end at the last fully valid one
                 valid = broke_at - 1 if broke_at is not None else None
@@ -414,30 +418,16 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 )
             )
             total_steps += 1
-            if status is not None:
-                break
 
-        x = x_cycle
         total_inner += ls.ncols
-        if b_err is not None:
-            final_b_err = b_err
 
-        if status is not None:
-            final_status = status
-        elif not restarted:
-            final_status = STATUS_MAX_ITERS
-        elif max_cycles is not None and cycle >= max_cycles:
-            final_status = STATUS_MAX_ITERS
-
-    if final_b_err is None:
-        final_b_err = backward_error(matvec, a_fro, b, x)
-        _check_finite(final_b_err)
-    if records and records[-1].stop_reason == "":
-        records[-1] = replace(records[-1], stop_reason=final_status)
+    if b_err is None:
+        b_err = backward_error(matvec, a_fro, b, x)
+        _check_finite(b_err)
     return SolveResult(
         x=x,
-        status=final_status,
-        backward_error=final_b_err,
+        status=status,
+        backward_error=b_err,
         records=records,
         cycles=cycle,
         block_steps=total_steps,

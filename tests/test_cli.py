@@ -76,6 +76,27 @@ class TestSolveCommand:
         )
         assert code == 0
 
+    def test_diag_every_above_step_count_measures_nothing(self, capsys, tmp_path):
+        # the run converges off the measurement grid, so no step is
+        # measured, yet its last row still carries the stop reason
+        csv_path = str(tmp_path / "out.csv")
+        code, out, err = run(
+            capsys, "solve", "--randsvd", "20,1e2,3,7", "--s", "2",
+            "--diag-every", "1000", "--summary", "--csv", csv_path,
+        )
+        assert code == 0
+        summary = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert summary["max_cond_B_tilde"] == "n/a"
+        with open(csv_path) as fh:
+            header, *rows = fh.read().splitlines()
+        fields = header.split(",")
+        cond_fields = ("cond_B_tilde", "cond_B_subblock", "cond_V", "ortho_loss_V")
+        rows = [dict(zip(fields, row.split(","))) for row in rows]
+        assert len(rows) == int(summary["block_steps"])
+        assert all(row[name] == "" for row in rows for name in cond_fields)
+        assert rows[-1]["stop_reason"] == summary["status"]
+        assert all(row["stop_reason"] == "" for row in rows[:-1])
+
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_backward_error_exits_one(self, capsys, tmp_path, scale):
         # the backward error of this system overflows to inf / inf = NaN;
@@ -152,7 +173,7 @@ class TestUsageErrors:
         text = capsys.readouterr().out
         for flag in (
             "--matrix", "--randsvd", "--rhs", "--s", "--basis", "--arnoldi",
-            "--orth", "--tol", "--tolh", "--tolls", "--restart", "--max-outer",
+            "--orth", "--tol", "--tolh", "--restart", "--max-outer",
             "--precond", "--basis-operator", "--csv", "--summary", "--diag-every",
         ):
             assert flag in text
@@ -227,6 +248,23 @@ class TestInfoCommand:
         assert code == 0
         got = dict(line.split(": ", 1) for line in out.strip().splitlines())
         assert got["symmetric"] == "no"
+
+    @pytest.mark.parametrize(
+        "entries", [[], ["1 1 0.0", "2 3 0.0", "3 2 -0.0"]], ids=["empty", "zeros"]
+    )
+    def test_matrix_without_nonzero_value_reports_infinite_cond2(
+        self, capsys, tmp_path, entries
+    ):
+        path = tmp_path / "z.mtx"
+        lines = ["%%MatrixMarket matrix coordinate real general", "3 3 %d" % len(entries)]
+        path.write_text("\n".join(lines + entries) + "\n")
+        code, out, err = run(capsys, "info", "--matrix", str(path))
+        assert code == 0
+        assert err == ""
+        got = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert got["nnz"] == str(len(entries))
+        assert got["frobenius_norm"] == "0.0"
+        assert got["cond2"] == "inf"
 
     def test_cond2_skipped_above_dense_limit(self, capsys, tmp_path):
         # a dense cond2 at n = 800 takes the better part of a minute, so

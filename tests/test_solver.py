@@ -105,10 +105,6 @@ class TestLeastSquares:
         assert ls.g.tobytes() == g_ref.tobytes()
 
 
-def converged_families():
-    return {"converged_backward", "converged_ls", "breakdown_converged"}
-
-
 class TestSolveBasics:
     def test_identity_converges_in_one_inner_step(self):
         n = 12
@@ -177,25 +173,6 @@ class TestSolveBasics:
         assert res.inner_iterations == 3
         np.testing.assert_allclose(a @ res.x, b, atol=1e-13)
 
-    def test_converged_ls_with_loose_ls_tolerance(self):
-        # The rotated-residual status requires both the small projected
-        # residual and a passing backward error. The backward error uses
-        # denominator ||A||_F ||x|| + ||b||, which is several times ||b||
-        # here, so it crosses its threshold a couple of steps before
-        # |g| <= tol_ls * beta does when tol_ls is left at tol. A loose
-        # tol_ls lets the combined check claim the stop instead.
-        n = 60
-        a = np.diag(np.linspace(1.0, 2.0, n))
-        b = rng(33).standard_normal(n)
-        loose = solve(a, b, config=SolverConfig(s=1, tol_ls=1e-6))
-        assert loose.status == "converged_ls"
-        strict = solve(a, b, config=SolverConfig(s=1))
-        assert strict.status == "converged_backward"
-        assert loose.block_steps == strict.block_steps
-        np.testing.assert_allclose(
-            a @ loose.x, b, atol=1e-12 * np.linalg.norm(b)
-        )
-
     def test_key_dimension_reached_on_inconsistent_invariant_subspace(self):
         # Krylov space closes after two steps but cannot represent b
         a = np.diag([1.0, 1.0, 0.0])
@@ -220,6 +197,35 @@ class TestSolveBasics:
             SolverConfig(basis="legendre")
         with pytest.raises(ValueError, match="at least 1"):
             SolverConfig(s=0)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("s", 2.5), ("s", True), ("s", 2.0), ("restart", 7.5), ("restart", False),
+         ("max_outer", 2.5), ("diag_every", 1.5), ("diag_every", "2")],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # a float cap would never equal the step count, a float grid
+        # measures steps off the multiples, and bool is no count
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["tol", "tol_h"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1e-8, 0.0])
+    def test_tolerances_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match="%s must be finite and positive" % name):
+            SolverConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        a = matrix_with_cond(24, 24, 1e2, seed=27)
+        b = rng(28).standard_normal(24)
+        plain = solve(a, b, config=SolverConfig(s=3, restart=12, max_outer=2, diag_every=2))
+        numpy_ints = SolverConfig(
+            s=np.int64(3), restart=np.int32(12), max_outer=np.int16(2),
+            diag_every=np.uint8(2),
+        )
+        res = solve(a, b, config=numpy_ints)
+        assert res.x.tobytes() == plain.x.tobytes()
+        assert csv_text(res.records) == csv_text(plain.records)
 
     @pytest.mark.parametrize("length", [1, 4])
     def test_jacobi_preconditioner_length_must_match(self, length):
@@ -417,8 +423,7 @@ class TestRecordsAndDeterminism:
         assert len(res.records) == res.block_steps
         for rec in res.records:
             measured = not np.isnan(rec.cond_B_tilde)
-            is_final = rec.stop_reason != ""
-            assert measured == ((rec.outer % 2 == 0) or is_final)
+            assert measured == (rec.outer % 2 == 0)
             assert rec.backward_error > 0.0
             assert rec.inner_cols == rec.outer * 3
         reasons = [r.stop_reason for r in res.records]
@@ -426,8 +431,7 @@ class TestRecordsAndDeterminism:
         assert reasons[-1] == "max_iters"
 
     def test_iteration_cap_step_follows_the_grid(self):
-        # only a step that ends the run by convergence or breakdown is
-        # measured off the grid; the cap stops the run between steps
+        # the step the cap stops on is measured only on the grid
         a = matrix_with_cond(24, 24, 1e2, seed=27)
         b = rng(28).standard_normal(24)
         res = solve(a, b, config=SolverConfig(s=3, diag_every=2, tol=1e-30, max_outer=5))
@@ -450,6 +454,79 @@ class TestRecordsAndDeterminism:
         r2 = solve(a, b, config=cfg)
         np.testing.assert_array_equal(r1.x, r2.x)
         assert csv_text(r1.records) == csv_text(r2.records)
+
+
+MEASUREMENT_CASES = [
+    dict(s=1),
+    dict(s=2),
+    dict(s=3, basis="newton", arnoldi="modified"),
+    dict(s=4, basis="chebyshev", restart=12),
+    dict(s=3, orth="bmgs", basis_operator="preconditioned", restart=9),
+    dict(s=5, arnoldi="modified", orth="bmgs"),
+    dict(s=2, max_outer=5, tol=1e-30),
+    dict(s=4, basis="newton", restart=8, max_outer=3, tol=1e-30),
+]
+
+def case_id(kwargs):
+    return ",".join("%s=%s" % item for item in kwargs.items())
+
+
+COND_FIELDS = ("cond_B_tilde", "cond_B_subblock", "cond_V", "ortho_loss_V")
+RESULT_FIELDS = ("status", "backward_error", "cycles", "block_steps",
+                 "inner_iterations", "candidate_projections", "candidate_qr_count")
+
+
+class TestMeasurementIsPassive:
+    """Conditioning diagnostics only read the cycle's bases: switching
+    them on or off must leave every bit of the iteration unchanged, and a
+    step is measured if and only if it lies on the ``diag_every`` grid."""
+
+    def run(self, diag_every, **kwargs):
+        a = csr_from_dense(clustered_spectrum_matrix(40, 0.4, seed=13))
+        prec = jacobi_preconditioner(a) if "basis_operator" in kwargs else None
+        config = SolverConfig(diag_every=diag_every, **kwargs)
+        return solve(a, rng(14).standard_normal(40), config=config, preconditioner=prec)
+
+    @staticmethod
+    def iteration_fields(rec):
+        return [
+            repr(getattr(rec, name))
+            for name in rec.__dataclass_fields__
+            if name not in COND_FIELDS
+        ]
+
+    @pytest.mark.parametrize("kwargs", MEASUREMENT_CASES, ids=case_id)
+    def test_diagnostics_off_matches_on_bitwise(self, monkeypatch, kwargs):
+        on = self.run(1, **kwargs)
+
+        def must_not_measure(*args, **kw):
+            raise AssertionError("measured with diagnostics off")
+
+        monkeypatch.setattr(solver_module, "basis_condition_numbers", must_not_measure)
+        off = self.run(10**6, **kwargs)
+        assert off.x.tobytes() == on.x.tobytes()
+        for name in RESULT_FIELDS:
+            assert getattr(off, name) == getattr(on, name), name
+        assert [self.iteration_fields(r) for r in off.records] == [
+            self.iteration_fields(r) for r in on.records
+        ]
+        assert all(not np.isnan(getattr(r, f)) for r in on.records for f in COND_FIELDS)
+        assert all(np.isnan(getattr(r, f)) for r in off.records for f in COND_FIELDS)
+        assert off.records[-1].stop_reason == off.status
+
+    @pytest.mark.parametrize("kwargs", MEASUREMENT_CASES, ids=case_id)
+    def test_measured_exactly_on_the_grid(self, kwargs):
+        res = self.run(3, **kwargs)
+        measured = [not np.isnan(r.cond_V) for r in res.records]
+        assert measured == [r.outer % 3 == 0 for r in res.records]
+
+    def test_convergence_off_the_grid_leaves_last_record_unmeasured(self):
+        # seven blocks of five converge the run; step 7 is off a grid of 3
+        res = self.run(3, s=5, arnoldi="modified", orth="bmgs")
+        last = res.records[-1]
+        assert res.status == "converged_backward"
+        assert (last.outer, last.stop_reason) == (7, "converged_backward")
+        assert all(np.isnan(getattr(last, f)) for f in COND_FIELDS)
 
 
 class TestOperatorApplyCounts:
