@@ -1,18 +1,22 @@
 """Dense kernels: Householder QR, Givens rotations, one-sided Jacobi SVD.
 
-The solver's QR is LAPACK's (through numpy); the pivoted QR and Jacobi SVD
-behind the conditioning diagnostics stay in-package, so the measurements
-do not share a code path with what they measure.
+The solver's QR is LAPACK's (through numpy); the pivoted QR behind the
+conditioning diagnostics stays in-package, so the measurements do not
+share a code path with what they measure.
 
 ``cond2`` measures in one of two ways, chosen from its input. A
 near-orthonormal matrix A, one with ||I - A^T A||_2 <= 1/2, gets its
 condition number from the eigenvalues of the symmetric matrix
 E = I - A^T A: one GEMM and one LAPACK ``dsyevd``. Everything else goes
-through the pivoted R factor and one-sided Jacobi. The Gram path never
-factors A. It forms A^T A from A's entries by a plain matrix product and
-diagonalizes that, so it shares no step with the Householder QR that
-produced the basis it measures: whatever orthogonality the QR lost
-appears in E entry by entry.
+through the pivoted R factor: sigma_max = ||R||_2 and
+sigma_min = 1 / ||R^{-1}||_2, which keeps the relative accuracy of small
+singular values because triangular inversion is componentwise backward
+stable. The Gram path never factors A. It forms A^T A from A's entries
+by a plain matrix product and diagonalizes that, so it shares no step
+with the Householder QR that produced the basis it measures: whatever
+orthogonality the QR lost appears in E entry by entry.
+``jacobi_svd_values`` gives every singular value by one-sided Jacobi on
+the same pivoted R; it is the reference ``cond2`` is tested against.
 
 Everything downstream (block orthogonalization, the Arnoldi processes, the
 least-squares update, the conditioning diagnostics) builds on this module.
@@ -144,9 +148,10 @@ def compute_givens(a, b, row=0):
 def _qrcp_r(a):
     """R factor of a column-pivoted Householder QR (values-only preprocessing).
 
-    Column pivoting keeps the one-sided Jacobi iteration fast and accurate on
-    badly scaled input; the singular values of R match those of ``a`` up to a
-    backward-stable factorization.
+    Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That keeps the
+    one-sided Jacobi iteration fast and accurate and bounds the growth of
+    R^{-1} on badly scaled input; the singular values of R match those of
+    ``a`` up to a backward-stable factorization.
     """
     work = np.array(a, dtype=float, order="F", copy=True)
     rows, cols = work.shape
@@ -182,9 +187,8 @@ def _round_robin_schedule(k):
     ip[r, i] with iq[r, i]. This is the circle method: column 0 stays put
     and the others rotate by one place per round; for odd k a dummy
     column k sits out one pairing per round. A schedule takes O(k^2)
-    memory, so only the few most recent widths are cached: the s-wide
-    sub-block recurs on every diagnostics step, the growing widths never
-    do.
+    memory and is the same for every matrix of width k, so the few most
+    recent widths are cached for repeated ``jacobi_svd_values`` calls.
     """
     m = k + k % 2
     half = m // 2
@@ -325,12 +329,21 @@ def cond2(m):
       relative error of the result. Unit-norm, nearly orthogonal
       columns (an orthonormal basis V, the modified variant's stacked
       candidates) land here.
-    - Everything else: the pivoted R factor, then one-sided Jacobi on
-      it. R settles most rank losses without Jacobi: R is triangular,
-      so sigma_min <= min |r_kk| and sigma_max >= |r_11|, and a diagonal
-      entry at or below the floor relative to |r_11| puts sigma_min at
-      or below it too. Input that fails the Gram test costs one GEMM
-      more than the Jacobi path alone.
+    - Everything else: the pivoted R factor, then sigma_max = ||R||_2
+      and sigma_min = 1 / ||R^{-1}||_2. R settles most rank losses by
+      itself: R is triangular, so sigma_min <= min |r_kk| and
+      sigma_max >= |r_11|, and a diagonal entry at or below the floor
+      relative to |r_11| puts sigma_min at or below it too. Otherwise R
+      is inverted. Triangular inversion is componentwise backward
+      stable (Higham, Accuracy and Stability of Numerical Algorithms,
+      section 8): the computed R^{-1} is the exact inverse of R + dR
+      with |dR| <= c(cols) * u * |R|. A componentwise perturbation of a
+      column-pivoted R moves its singular values by a relative amount
+      bounded through the condition of R's row-scaled form (Demmel and
+      Veselic, SIMAX 1992), the same bound that governs one-sided
+      Jacobi on R^T, so sigma_min keeps the relative accuracy of
+      ``jacobi_svd_values`` at a fraction of its cost. An R^{-1} that
+      overflows reports inf.
     """
     a = _as_matrix(m)
     if a.size == 0 or not np.any(a):
@@ -346,7 +359,14 @@ def cond2(m):
     diag = np.abs(np.diag(r))
     if diag.min() <= ratio * diag[0]:
         return np.inf
-    sigma = _jacobi_values_of_r(r, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    if sigma[-1] <= ratio * sigma[0]:
+    # r is upper triangular with a nonzero diagonal, so LU with partial
+    # pivoting keeps L = I and U = r: this is back substitution against I.
+    # An overflow leaves inf in r_inv; numpy raises no warning for it.
+    r_inv = np.linalg.inv(r)
+    if not np.all(np.isfinite(r_inv)):
         return np.inf
-    return float(sigma[0] / sigma[-1])
+    sigma_max = np.linalg.norm(r, 2)
+    sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
+    if sigma_min <= ratio * sigma_max:
+        return np.inf
+    return float(sigma_max / sigma_min)

@@ -6,9 +6,10 @@ optional (skipped steps hold NaN) because a measurement is not free:
 ``loss_of_orthogonality`` on n-row matrices with up to m columns. A
 near-orthonormal matrix (V, the modified variant's candidates) costs one
 GEMM, O(n m^2), and one m x m ``eigvalsh``; an ill-conditioned one (the
-classical variant's candidates) costs a pivoted QR and one-sided Jacobi
-sweeps, O(n m^2) plus O(m^3) per sweep. The CSV writes NaN as an empty
-field and floats with repr, so a file round-trips bit for bit.
+classical variant's candidates) costs a pivoted QR, O(n m^2), then the
+inverse and the 2-norms of its m x m R factor, O(m^3). The CSV writes NaN
+as an empty field and floats with repr, so a file round-trips bit for
+bit.
 """
 
 import io

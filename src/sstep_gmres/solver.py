@@ -17,6 +17,7 @@ ends it as ``max_iters``.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -77,6 +78,15 @@ def _require_count(name, value):
         raise ValueError("%s must be at least 1" % name)
 
 
+def _require_tolerance(name, value):
+    # numbers.Real admits Python and numpy floats and integers; a string
+    # or a sequence would fail inside math.isfinite with a TypeError
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a real number, got %r" % (name, value))
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("%s must be finite and positive" % name)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Algorithmic knobs; tolerances left as None resolve at solve time
@@ -88,8 +98,9 @@ class SolverConfig:
     ``diag_every`` gates the conditioning diagnostics: block step k of a
     cycle is measured if and only if k is a multiple of it, so a value
     above the run's step count switches them off. A measurement on m
-    basis columns costs O(n m^2), plus O(m^3) per one-sided Jacobi sweep
-    on the classical variant's candidates (see ``diagnostics``).
+    basis columns costs O(n m^2), plus O(m^3) for the inverse and the
+    2-norms of an m x m triangular factor on the classical variant's
+    candidates (see ``diagnostics``).
 
     ``basis_operator`` chooses the operator the classical variant builds
     its polynomial blocks with: ``plain`` is A, ``preconditioned`` is
@@ -98,7 +109,8 @@ class SolverConfig:
     change its runs. Without a preconditioner the two coincide.
 
     Counts must be integers (numpy integers included, bool not) and
-    tolerances finite and positive; anything else raises ValueError.
+    tolerances real numbers (bool not), finite and positive; anything
+    else raises ValueError.
     """
 
     s: int = 1
@@ -129,9 +141,8 @@ class SolverConfig:
                 "basis_operator must be one of %s" % (BASIS_OPERATOR_CHOICES,)
             )
         for name in ("tol", "tol_h"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValueError("%s must be finite and positive" % name)
+            if getattr(self, name) is not None:
+                _require_tolerance(name, getattr(self, name))
 
 
 @dataclass

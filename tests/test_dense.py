@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+import sstep_gmres.solver as solver_module
 from sstep_gmres import dense
 from sstep_gmres.dense import (
     UNIT_ROUNDOFF,
@@ -17,6 +18,8 @@ from sstep_gmres.dense import (
     jacobi_svd_values,
     _round_robin_schedule,
 )
+from sstep_gmres.solver import SolverConfig, solve
+from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
 from helpers import matrix_with_cond, rng
 
@@ -257,6 +260,53 @@ class TestJacobiSvd:
         assert info.value.values.shape == (12,)
 
 
+def near_orthonormal(rows, cols, radius, seed):
+    """U diag(sigma) V^T with every sigma^2 drawn from [1 - radius, 1 + radius]."""
+    g = rng(seed)
+    u, _ = np.linalg.qr(g.standard_normal((rows, cols)))
+    v, _ = np.linalg.qr(g.standard_normal((cols, cols)))
+    sigma = np.sqrt(1.0 - g.uniform(-radius, radius, cols))
+    return (u * sigma) @ v.T
+
+
+def _raise(*args):
+    raise AssertionError("patched-out kernel ran")
+
+
+def assert_reaches_pivoted_r(m):
+    with mock.patch.object(dense, "_qrcp_r", _raise), \
+            pytest.raises(AssertionError, match="patched-out kernel ran"):
+        cond2(m)
+
+
+def jacobi_cond(m):
+    sigma = jacobi_svd_values(m if m.shape[0] >= m.shape[1] else m.T)
+    return sigma[0] / sigma[-1]
+
+
+def assert_agrees_with_jacobi(m, got):
+    """got = cond2(m) against the Jacobi oracle under the same noise floor.
+
+    Finite values agree to 64 (rows + cols) u. Whether the floor is met
+    must agree too, unless the oracle's sigma_min / sigma_max lies
+    within a factor of 4 of the floor, where rounding may decide.
+    """
+    rows, cols = max(m.shape), min(m.shape)
+    sigma = jacobi_svd_values(m if m.shape[0] >= m.shape[1] else m.T)
+    margin = sigma[-1] / sigma[0] / (4.0 * np.sqrt(rows) * UNIT_ROUNDOFF)
+    want = np.inf if margin <= 1.0 else sigma[0] / sigma[-1]
+    if np.isfinite(got) and np.isfinite(want):
+        assert abs(got / want - 1.0) <= 64 * (rows + cols) * UNIT_ROUNDOFF
+    elif not 0.25 <= margin <= 4.0:
+        assert got == want, margin
+
+
+def kahan(n, theta=1.2):
+    """Kahan's upper triangular matrix: diag(sin^k) (I - cos * strict upper ones)."""
+    s, c = np.sin(theta), np.cos(theta)
+    return (s ** np.arange(n))[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
 class TestCond2:
     def test_known_diagonal(self):
         assert_allclose(cond2(np.diag([10.0, 1.0, 0.1])), 100.0, rtol=1e-13)
@@ -275,45 +325,26 @@ class TestCond2:
                 cond2(m)
 
     def test_rank_loss_settled_by_pivoted_r(self, monkeypatch):
-        def no_jacobi(*args):
-            raise AssertionError("Jacobi ran")
-
-        monkeypatch.setattr(dense, "_jacobi_sweeps", no_jacobi)
+        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         g = rng(5)
         v = g.standard_normal((30, 1))
         lost = np.hstack([g.standard_normal((30, 3)), v, 3.0 * v, g.standard_normal((30, 2))])
         assert cond2(lost) == np.inf
         assert cond2(lost.T) == np.inf
-        # full rank, however ill conditioned, still goes to Jacobi
-        with pytest.raises(AssertionError, match="Jacobi ran"):
-            cond2(matrix_with_cond(40, 6, 1e12, seed=6))
+        # full rank, however ill conditioned, is measured from the pivoted
+        # R and its inverse, without Jacobi
+        m = matrix_with_cond(40, 6, 1e12, seed=6)
+        assert_reaches_pivoted_r(m)
+        assert abs(cond2(m) / 1e12 - 1.0) <= 1e-3
 
     def test_prescribed_condition(self):
         m = matrix_with_cond(60, 10, 1e6, seed=21)
         assert abs(cond2(m) / 1e6 - 1.0) <= 1e-6
 
 
-def near_orthonormal(rows, cols, radius, seed):
-    """U diag(sigma) V^T with every sigma^2 drawn from [1 - radius, 1 + radius]."""
-    g = rng(seed)
-    u, _ = np.linalg.qr(g.standard_normal((rows, cols)))
-    v, _ = np.linalg.qr(g.standard_normal((cols, cols)))
-    sigma = np.sqrt(1.0 - g.uniform(-radius, radius, cols))
-    return (u * sigma) @ v.T
-
-
-def _raise(*args):
-    raise AssertionError("Jacobi path ran")
-
-
-def jacobi_cond(m):
-    sigma = jacobi_svd_values(m if m.shape[0] >= m.shape[1] else m.T)
-    return sigma[0] / sigma[-1]
-
-
 class TestCond2GramPath:
     """Near-orthonormal input, ||I - A^T A||_2 <= 1/2, is measured from
-    the eigenvalues of I - A^T A and never reaches the Jacobi path."""
+    the eigenvalues of I - A^T A and never reaches the pivoted R."""
 
     def test_orthonormal_plus_noise_skips_the_jacobi_path(self, monkeypatch):
         g = rng(50)
@@ -344,24 +375,22 @@ class TestCond2GramPath:
             got = cond2(m)
         assert abs(got / want - 1.0) <= 8 * (rows + cols) * UNIT_ROUNDOFF
 
-    def test_large_gram_entries_reach_jacobi(self):
+    def test_large_gram_entries_reach_pivoted_r(self, monkeypatch):
         # 2Q: I - A^T A = -3I fails the entry test
         q, _ = np.linalg.qr(rng(51).standard_normal((40, 6)))
-        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
-            with pytest.raises(AssertionError, match="Jacobi path ran"):
-                cond2(2.0 * q)
+        assert_reaches_pivoted_r(2.0 * q)
+        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         assert abs(cond2(2.0 * q) - 1.0) <= 1e-14
 
-    def test_small_entries_large_norm_reach_jacobi(self):
+    def test_small_entries_large_norm_reach_pivoted_r(self, monkeypatch):
         # A^T A = I - 0.6 * ones/6: every entry of I - A^T A is 0.1, yet
         # its 2-norm is 0.6, so the eigenvalue test sends it on
         k = 6
         gram = np.eye(k) - 0.6 * np.ones((k, k)) / k
         q, _ = np.linalg.qr(rng(52).standard_normal((40, k)))
         m = q @ np.linalg.cholesky(gram).T
-        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
-            with pytest.raises(AssertionError, match="Jacobi path ran"):
-                cond2(m)
+        assert_reaches_pivoted_r(m)
+        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         assert abs(cond2(m) / np.sqrt(1.0 / 0.4) - 1.0) <= 1e-13
 
     def test_rank_loss_with_small_gram_entries_is_inf(self):
@@ -385,3 +414,66 @@ class TestCond2GramPath:
 def test_unit_roundoff_value():
     assert UNIT_ROUNDOFF == pytest.approx(1.11e-16, rel=1e-2)
     assert UNIT_ROUNDOFF == np.finfo(float).eps / 2
+
+
+class TestCond2PivotedRPath:
+    """Input off the Gram path is measured as ||R||_2 ||R^{-1}||_2 of its
+    pivoted R factor; one-sided Jacobi is the independent oracle."""
+
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 60),
+        st.floats(0.0, 13.0),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_agrees_with_jacobi(self, rows, cols, log_cond, seed, wide):
+        cols = min(cols, rows)
+        m = matrix_with_cond(rows, cols, 10.0 ** log_cond, seed)
+        m *= 10.0 ** rng(seed + 1).uniform(-6.0, 6.0, cols)
+        if wide:
+            m = m.T
+        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
+            got = cond2(m)
+        assert_agrees_with_jacobi(m, got)
+
+    @pytest.mark.parametrize("n, finite", [(60, True), (90, False)])
+    def test_kahan_matrix(self, n, finite):
+        m = kahan(n)
+        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
+            got = cond2(m)
+        assert np.isfinite(got) == finite
+        assert_agrees_with_jacobi(m, got)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_inverse_is_inf(self, monkeypatch):
+        # unit diagonal passes the diagonal test; R^{-1} has entries
+        # (1 + 1e10)^(j - i - 1), past the float range beyond j - i = 31
+        k = 40
+        r = np.eye(k) - 1e10 * np.triu(np.ones((k, k)), 1)
+        monkeypatch.setattr(dense, "_qrcp_r", lambda a: r)
+        assert cond2(rng(55).standard_normal((50, k))) == np.inf
+
+    def test_classical_solve_records_agree_with_jacobi(self, monkeypatch):
+        # criterion 7' matrix: the classical candidates reach cond > 1e7
+        a, _, _ = gen_randsvd(RandSvdSpec(n=200, kappa=1e10, mode=5, seed=1))
+        measure = solver_module.basis_condition_numbers
+        slices = []
+
+        def capture(state, valid_cols=None):
+            inner = state.inner_cols if valid_cols is None else valid_cols
+            start = state.inner_cols - state.vr.block_widths[-1]
+            b = state.b_concat
+            slices.append((b[:, :inner].copy(), b[:, start:inner].copy()))
+            return measure(state, valid_cols)
+
+        monkeypatch.setattr(solver_module, "basis_condition_numbers", capture)
+        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
+        cfg = SolverConfig(s=16, arnoldi="classical", diag_every=1)
+        res = solve(a, np.ones(200), config=cfg)
+        monkeypatch.undo()
+        assert len(slices) == len(res.records)
+        assert max(rec.cond_B_tilde for rec in res.records) > 1e7
+        for rec, (b, sub) in zip(res.records, slices):
+            assert_agrees_with_jacobi(b, rec.cond_B_tilde)
+            assert_agrees_with_jacobi(sub, rec.cond_B_subblock)

@@ -215,6 +215,12 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="%s must be finite and positive" % name):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["tol", "tol_h"])
+    @pytest.mark.parametrize("value", ["1e-8", [1e-8], True])
+    def test_tolerances_must_be_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match="%s must be a real number" % name):
+            SolverConfig(**{name: value})
+
     def test_numpy_integer_counts_accepted(self):
         a = matrix_with_cond(24, 24, 1e2, seed=27)
         b = rng(28).standard_normal(24)
