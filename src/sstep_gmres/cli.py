@@ -41,6 +41,13 @@ EXIT_NOT_CONVERGED = 2
 # the pivoted QR's column-by-column Householder loop dominates
 DENSE_INFO_LIMIT = 500
 
+# solve applies A as an ndarray (GEMV) when it stores at least n^2 / 4
+# entries, else as CSR (spmv). The bincount spmv loses to GEMV from about
+# 5-10% density at n = 1000-3000 and is 4-8x slower at 25% (2-core x86-64
+# VM, one BLAS thread); at 25% the 8 n^2 bytes of dense storage are at
+# most 4/3 of CSR's 24 bytes per entry.
+DENSE_FILL_DENOMINATOR = 4
+
 
 class CliError(Exception):
     """Unusable invocation or input; the message goes to standard error."""
@@ -176,12 +183,24 @@ def _parse_randsvd(text):
     return spec
 
 
+def _dense_enough(n, nnz):
+    return DENSE_FILL_DENOMINATOR * nnz >= n * n
+
+
 def _load_problem(args):
-    """Returns (CsrMatrix, right singular vectors or None)."""
+    """Returns (A, n, right singular vectors or None).
+
+    A is an ndarray when it stores at least n^2 / DENSE_FILL_DENOMINATOR
+    entries, and a CsrMatrix otherwise.
+    """
     if args.matrix is not None:
-        return parse_matrix_market(args.matrix), None
+        mat = parse_matrix_market(args.matrix)
+        dense = _dense_enough(mat.n, mat.nnz)
+        return (mat.to_dense() if dense else mat), mat.n, None
     a, v, _ = gen_randsvd(_parse_randsvd(args.randsvd))
-    return csr_from_dense(a), v
+    n = a.shape[0]
+    dense = _dense_enough(n, np.count_nonzero(a))
+    return (a if dense else csr_from_dense(a)), n, v
 
 
 def _resolve_rhs(text, n, singular_vectors):
@@ -213,10 +232,11 @@ def _resolve_rhs(text, n, singular_vectors):
     raise CliError("unknown --rhs form %r; expected ones, file:PATH, or rsv:K" % text)
 
 
-def _print_summary(result):
+def _print_summary(result, storage):
     conds = [
         r.cond_B_tilde for r in result.records if not np.isnan(r.cond_B_tilde)
     ]
+    print("matrix_storage: %s" % storage)
     print("status: %s" % result.status)
     print("backward_error: %s" % repr(float(result.backward_error)))
     print("restart_cycles: %d" % result.cycles)
@@ -228,8 +248,8 @@ def _print_summary(result):
 
 
 def _run_solve(args):
-    mat, singular_vectors = _load_problem(args)
-    rhs = _resolve_rhs(args.rhs, mat.n, singular_vectors)
+    mat, n, singular_vectors = _load_problem(args)
+    rhs = _resolve_rhs(args.rhs, n, singular_vectors)
     try:
         config = SolverConfig(
             s=args.s,
@@ -255,7 +275,7 @@ def _run_solve(args):
     if args.csv is not None:
         write_csv(result.records, args.csv)
     if args.summary:
-        _print_summary(result)
+        _print_summary(result, "dense" if isinstance(mat, np.ndarray) else "csr")
     return 0 if result.converged else EXIT_NOT_CONVERGED
 
 

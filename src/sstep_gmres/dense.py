@@ -290,14 +290,19 @@ def jacobi_svd_values(m, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
 GRAM_PATH_RADIUS = 0.5
 
 
-def _gram_cond2(a):
+def _gram_cond2(a, a_max):
     """cond2 of a tall, finite a from the spectrum of E = I - a^T a.
 
-    Returns None unless ||E||_2 <= GRAM_PATH_RADIUS. The entry test
+    Returns None unless ||E||_2 <= GRAM_PATH_RADIUS. Input that passes
+    has column norms, and so entries, of at most sqrt(3/2); an entry
+    ``a_max`` = max |a_ij| above 2 returns None before the GEMM, which
+    could overflow at such scales. The entry test
     max |E_ij| <= ||E||_2 rejects most other input before ``eigvalsh``
     runs, so it then costs one GEMM. With eigenvalues e_1 <= ... <= e_k
     of E, sigma_i^2 = 1 - e_i, hence cond2 = sqrt((1 - e_1) / (1 - e_k)).
     """
+    if a_max > 2.0:
+        return None
     e = np.eye(a.shape[1]) - a.T @ a
     if np.abs(e).max() > GRAM_PATH_RADIUS:
         return None
@@ -329,8 +334,11 @@ def cond2(m):
       relative error of the result. Unit-norm, nearly orthogonal
       columns (an orthonormal basis V, the modified variant's stacked
       candidates) land here.
-    - Everything else: the pivoted R factor, then sigma_max = ||R||_2
-      and sigma_min = 1 / ||R^{-1}||_2. R settles most rank losses by
+    - Everything else: the pivoted R factor of the input scaled by the
+      power of two that brings max |a_ij| into [1/2, 1), then
+      sigma_max = ||R||_2 and sigma_min = 1 / ||R^{-1}||_2. The scaling
+      is exact unless it makes entries subnormal, so the result does
+      not depend on the input's scale. R settles most rank losses by
       itself: R is triangular, so sigma_min <= min |r_kk| and
       sigma_max >= |r_11|, and a diagonal entry at or below the floor
       relative to |r_11| puts sigma_min at or below it too. Otherwise R
@@ -351,11 +359,14 @@ def cond2(m):
     _require_finite(a)
     if a.shape[0] < a.shape[1]:
         a = a.T
-    gram = _gram_cond2(a)
+    a_max = np.abs(a).max()
+    gram = _gram_cond2(a, a_max)
     if gram is not None:
         return gram
     ratio = 4.0 * np.sqrt(a.shape[0]) * UNIT_ROUNDOFF
-    r = _qrcp_r(a)
+    # squared column norms of the scaled input neither under- nor overflow
+    _, exponent = np.frexp(a_max)
+    r = _qrcp_r(np.ldexp(a, -exponent))
     diag = np.abs(np.diag(r))
     if diag.min() <= ratio * diag[0]:
         return np.inf

@@ -265,6 +265,12 @@ def _scan_entries(lines, lineno, n, nnz):
     return ri, ci, vv
 
 
+# entries formatted per write; formatting makes a few small strings per
+# entry, and at 1024 entries they grew the peak RSS of a gen-then-solve
+# run at n = 300 by about 1.3 MB, at no gain in speed
+_WRITE_CHUNK = 128
+
+
 def write_matrix_market(a, sink):
     """Write CsrMatrix (or square dense array) as coordinate real general.
 
@@ -278,8 +284,15 @@ def write_matrix_market(a, sink):
     try:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write("%d %d %d\n" % (a.n, a.n, a.nnz))
-        for i, j, v in zip(a.row_idx, a.col_idx, a.values):
-            fh.write("%d %d %s\n" % (i + 1, j + 1, repr(float(v))))
+        for lo in range(0, a.nnz, _WRITE_CHUNK):
+            part = slice(lo, lo + _WRITE_CHUNK)
+            rows = (a.row_idx[part] + 1).tolist()
+            cols = (a.col_idx[part] + 1).tolist()
+            # the repr of a float list is the shortest round-trip repr of
+            # each value, joined by ", "
+            values = repr(a.values[part].tolist())[1:-1].split(", ")
+            lines = [f"{i} {j} {v}\n" for i, j, v in zip(rows, cols, values)]
+            fh.write("".join(lines))
     finally:
         if own:
             fh.close()
@@ -313,7 +326,17 @@ class Preconditioner:
 
 
 def jacobi_preconditioner(a):
-    d = a.diagonal()
+    """Jacobi preconditioner from the diagonal of a CsrMatrix or a square
+    real array; the array's diagonal is copied, so the preconditioner
+    does not keep the matrix alive."""
+    if isinstance(a, CsrMatrix):
+        d = a.diagonal()
+    else:
+        _reject_complex(a, "matrix values")
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("need a square matrix")
+        d = np.diag(a).copy()
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise ValueError("zero diagonal entry at row %d" % int(zero[0]))

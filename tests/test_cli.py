@@ -9,9 +9,22 @@ import os
 import numpy as np
 import pytest
 
+from sstep_gmres import cli
 from sstep_gmres.cli import main
-from sstep_gmres.diagnostics import CSV_HEADER, read_csv
-from sstep_gmres.sparse import write_matrix_market
+from sstep_gmres.diagnostics import CSV_HEADER, read_csv, write_csv
+from sstep_gmres.solver import SolverConfig, solve
+from sstep_gmres.sparse import (
+    CsrMatrix,
+    Preconditioner,
+    RandSvdSpec,
+    csr_from_coo,
+    gen_randsvd,
+    parse_matrix_market,
+    right_singular_vector,
+    write_matrix_market,
+)
+
+from helpers import stencil_coo
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -307,3 +320,109 @@ class TestDeterminism:
             first, second = fa.read(), fb.read()
         assert first == second
         assert first.startswith(CSV_HEADER.encode("ascii"))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """(a, b, preconditioner) of every solve that the CLI starts."""
+    calls = []
+
+    def spy(a, b, config=None, preconditioner=None):
+        calls.append((a, b, preconditioner))
+        return solve(a, b, config=config, preconditioner=preconditioner)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    return calls
+
+
+def csv_of(records, path):
+    write_csv(records, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestMatrixStorage:
+    """solve receives A as an ndarray when it stores at least n^2 / 4
+    entries, and as a CsrMatrix otherwise."""
+
+    ARGS = ("--s", "3", "--basis", "newton", "--summary")
+    CONFIG = SolverConfig(s=3, basis="newton")
+
+    def solve_file(self, capsys, tmp_path, path, *extra):
+        csv_path = str(tmp_path / "cli.csv")
+        code, out, err = run(
+            capsys, "solve", "--matrix", path, "--csv", csv_path, *self.ARGS, *extra
+        )
+        assert err == ""
+        summary = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        return code, summary, read_bytes(csv_path)
+
+    def test_dense_file_solves_as_ndarray(self, capsys, tmp_path, solve_calls):
+        path = str(tmp_path / "a.mtx")
+        write_matrix_market(gen_randsvd(RandSvdSpec(30, 1e4, 3, 5))[0], path)
+        code, summary, got = self.solve_file(capsys, tmp_path, path)
+        [(a, _, _)] = solve_calls
+        assert isinstance(a, np.ndarray)
+        assert summary["matrix_storage"] == "dense"
+        want = solve(parse_matrix_market(path).to_dense(), np.ones(30), config=self.CONFIG)
+        assert code == (0 if want.converged else 2)
+        assert got == csv_of(want.records, str(tmp_path / "want.csv"))
+
+    def test_sparse_file_solves_as_csr(self, capsys, tmp_path, solve_calls):
+        path = str(tmp_path / "stencil.mtx")
+        write_matrix_market(csr_from_coo(*stencil_coo(12)), path)
+        code, summary, got = self.solve_file(capsys, tmp_path, path)
+        [(a, _, _)] = solve_calls
+        assert isinstance(a, CsrMatrix)
+        assert summary["matrix_storage"] == "csr"
+        want = solve(parse_matrix_market(path), np.ones(144), config=self.CONFIG)
+        assert code == (0 if want.converged else 2)
+        assert got == csv_of(want.records, str(tmp_path / "want.csv"))
+
+    @pytest.mark.parametrize(
+        "n, nnz, storage",
+        [(8, 15, CsrMatrix), (8, 16, np.ndarray), (7, 12, CsrMatrix), (7, 13, np.ndarray)],
+    )
+    def test_density_threshold(self, capsys, tmp_path, solve_calls, n, nnz, storage):
+        # n^2 / 4 is 16 at n = 8 and 12.25 at n = 7
+        off = [(i, j) for i in range(n) for j in range(n) if i != j][: nnz - n]
+        rows = np.array(list(range(n)) + [i for i, _ in off])
+        cols = np.array(list(range(n)) + [j for _, j in off])
+        vals = np.concatenate([4.0 + np.arange(n), 0.1 * np.ones(nnz - n)])
+        path = str(tmp_path / "m.mtx")
+        write_matrix_market(csr_from_coo(n, rows, cols, vals), path)
+        self.solve_file(capsys, tmp_path, path)
+        [(a, _, _)] = solve_calls
+        assert isinstance(a, storage)
+
+    def test_randsvd_with_singular_vector_rhs(self, capsys, solve_calls):
+        code, out, err = run(
+            capsys, "solve", "--randsvd", "20,1e3,3,4", "--rhs", "rsv:2", *self.ARGS
+        )
+        assert err == ""
+        [(a, b, _)] = solve_calls
+        want_a, v, _ = gen_randsvd(RandSvdSpec(20, 1e3, 3, 4))
+        assert isinstance(a, np.ndarray)
+        assert a.tobytes() == want_a.tobytes()
+        assert b.tobytes() == right_singular_vector(v, 2).tobytes()
+        want = solve(want_a, b, config=self.CONFIG)
+        assert code == (0 if want.converged else 2)
+        assert "matrix_storage: dense" in out.splitlines()
+
+    def test_jacobi_on_dense_path(self, capsys, tmp_path, solve_calls):
+        path = str(tmp_path / "a.mtx")
+        write_matrix_market(gen_randsvd(RandSvdSpec(30, 1e4, 3, 6))[0], path)
+        _, _, got = self.solve_file(capsys, tmp_path, path, "--precond", "jacobi")
+        [(_, _, prec)] = solve_calls
+        a = parse_matrix_market(path).to_dense()
+        want = solve(
+            a, np.ones(30), config=self.CONFIG,
+            preconditioner=Preconditioner(np.diag(a).copy()),
+        )
+        assert prec.diag.tobytes() == np.diag(a).tobytes()
+        assert got == csv_of(want.records, str(tmp_path / "want.csv"))

@@ -342,6 +342,34 @@ class TestCond2:
         assert abs(cond2(m) / 1e6 - 1.0) <= 1e-6
 
 
+class TestCond2Scale:
+    """cond2 does not depend on the scale of its input."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160])
+    def test_extreme_scale_measures_the_condition(self, scale):
+        # the squared column norms of the pivoted QR would underflow or
+        # overflow at these scales without the power-of-two scaling
+        m = matrix_with_cond(20, 5, 10.0, seed=1)
+        assert abs(cond2(m * scale) / 10.0 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_scale_bits_are_those_of_the_unscaled_r(self, seed):
+        # scaling by a power of two is exact, so at scale 1 the result is
+        # ||R||_2 ||R^{-1}||_2 of the unscaled input's pivoted R, bit for bit
+        g = rng(300 + seed)
+        m = matrix_with_cond(30, 8, 10.0 ** (2 + 2 * seed), seed=300 + seed)
+        m *= 10.0 ** g.uniform(-3.0, 3.0, 8)
+        r = dense._qrcp_r(m)
+        want = np.linalg.norm(r, 2) / (1.0 / np.linalg.norm(np.linalg.inv(r), 2))
+        assert cond2(m) == want
+        assert cond2(m.T) == want
+
+    @given(st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+    def test_power_of_two_scaling_keeps_the_bits(self, k, seed):
+        m = matrix_with_cond(12, 4, 1e6, seed)
+        assert cond2(np.ldexp(m, k)) == cond2(m)
+
+
 class TestCond2GramPath:
     """Near-orthonormal input, ||I - A^T A||_2 <= 1/2, is measured from
     the eigenvalues of I - A^T A and never reaches the pivoted R."""

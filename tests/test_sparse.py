@@ -152,6 +152,24 @@ class TestParse:
         assert np.array_equal(a.row_ptr, b.row_ptr)
 
 
+    def test_write_keeps_its_byte_format(self):
+        dense = np.array([[5e-324, -1.7976931348623157e308], [0.0, -0.1]])
+        buf = io.StringIO()
+        write_matrix_market(dense, buf)
+        assert buf.getvalue() == (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n"
+            "1 1 5e-324\n"
+            "1 2 -1.7976931348623157e+308\n"
+            "2 2 -0.1\n"
+        )
+        empty = io.StringIO()
+        write_matrix_market(np.zeros((3, 3)), empty)
+        assert empty.getvalue() == (
+            "%%MatrixMarket matrix coordinate real general\n3 3 0\n"
+        )
+
+
 class TestCsr:
     def test_validation_rejects_bad_row_ptr(self):
         with pytest.raises(ValueError):
@@ -285,6 +303,24 @@ class TestPreconditioner:
         dense = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="row 1"):
             jacobi_preconditioner(csr_from_dense(dense))
+        with pytest.raises(ValueError, match="row 1"):
+            jacobi_preconditioner(dense)
+
+    def test_jacobi_from_array_copies_the_diagonal(self):
+        dense = rng(6).standard_normal((5, 5)) + 4.0 * np.eye(5)
+        p = jacobi_preconditioner(dense)
+        want = jacobi_preconditioner(csr_from_dense(dense))
+        assert p.diag.tobytes() == want.diag.tobytes()
+        # an owned copy, not a view that keeps the n x n matrix alive
+        assert p.diag.base is None and p.diag.flags.writeable
+        assert not np.shares_memory(p.diag, dense)
+
+    @pytest.mark.parametrize(
+        "bad", [np.ones((2, 3)), np.ones(3), np.eye(2) * (1.0 + 1.0j)]
+    )
+    def test_jacobi_from_array_needs_square_real_matrix(self, bad):
+        with pytest.raises(ValueError):
+            jacobi_preconditioner(bad)
 
     def test_diagonal_must_be_real_nonzero_finite(self):
         for diag in ([1.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [1.0 + 1.0j, 2.0]):
