@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import build_krylov_block
 from .blockqr import QrState
-from .dense import householder_qr
+from .dense import UNIT_ROUNDOFF, householder_qr
 
 __all__ = [
     "ArnoldiState",
@@ -180,6 +180,17 @@ def _enforce_span_budget(state, report, attempted):
     return report
 
 
+def _live_width(r, rows, scale):
+    """Columns of a candidate QR before its first dead pivot, at least 1.
+
+    A pivot r[j, j] at or below 4 sqrt(rows) u ``scale`` is dead; the
+    sqrt(rows) covers the noise of eliminating an exactly dependent column.
+    """
+    threshold = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF * scale
+    dead = np.flatnonzero(np.diag(r) <= threshold)
+    return max(int(dead[0]), 1) if dead.size else r.shape[0]
+
+
 def classical_step(state, ops, basis, s, orth_step):
     """One s-step block using the raw polynomial block as candidate.
 
@@ -241,11 +252,11 @@ def modified_step(state, ops, basis, s, orth_step):
         prev = state.vr.q[:, : state.vr.ncols - 1]
         y = k - prev @ (prev.T @ k)
         y = y - prev @ (prev.T @ y)
-        q, _, dead = householder_qr(y, deficiency_scale=np.linalg.norm(k))
-        if dead is not None:
-            # the seed column enters with unit norm and orthogonal to
-            # prev, so it cannot be the dead one; width stays >= 1
-            q = q[:, : max(dead, 1)]
+        q, r = householder_qr(y)
+        # judged against K before projection, so that fully projected-out
+        # columns are still recognized; the seed column enters with unit
+        # norm and orthogonal to prev, so it cannot be the dead one
+        q = q[:, : _live_width(r, y.shape[0], np.linalg.norm(k))]
         report = _finish_step(state, ops, q, orth_step, projections=2, intra_qrs=1)
         return _enforce_span_budget(state, report, k.shape[1])
     return _finish_step(state, ops, k, orth_step)

@@ -82,9 +82,6 @@ class RitzSet:
         if not np.array_equal(vals[key], np.conj(vals)[ckey]):
             raise ValueError("ritz values must be closed under conjugation")
 
-    def __len__(self):
-        return self.values.size
-
 
 class ChebyshevParams(NamedTuple):
     center: float

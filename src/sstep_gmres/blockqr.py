@@ -88,10 +88,10 @@ def bcgsi_plus_step(state, x):
 
     s1 = q.T @ x
     w1 = x - q @ s1
-    u, t1, _ = householder_qr(w1)
+    u, t1 = householder_qr(w1)
     s2 = q.T @ u
     w2 = u - q @ s2
-    q_new, t2, _ = householder_qr(w2)
+    q_new, t2 = householder_qr(w2)
 
     state._commit(p, q_new, s1 + s2 @ t1, t2 @ t1)
 
@@ -112,7 +112,7 @@ def bmgs_step(state, x):
         x -= qk @ sk
         r_above[lo : lo + width] = sk
         lo += width
-    q_new, r_diag, _ = householder_qr(x)
+    q_new, r_diag = householder_qr(x)
     state._commit(p, q_new, r_above, r_diag)
 
 

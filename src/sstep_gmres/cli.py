@@ -18,12 +18,17 @@ import numpy as np
 
 from .dense import cond2
 from .diagnostics import write_csv
-from .solver import SolverConfig, solve
+from .solver import (
+    ARNOLDI_CHOICES,
+    BASIS_CHOICES,
+    BASIS_OPERATOR_CHOICES,
+    ORTH_CHOICES,
+    SolverConfig,
+    solve,
+)
 from .sparse import (
-    MatrixMarketError,
     RandSvdSpec,
     csr_from_coo,
-    csr_from_dense,
     gen_randsvd,
     jacobi_preconditioner,
     parse_matrix_market,
@@ -86,19 +91,19 @@ def _build_parser():
     p.add_argument("--s", type=int, default=1, help="basis columns per block step")
     p.add_argument(
         "--basis",
-        choices=("monomial", "newton", "chebyshev"),
+        choices=BASIS_CHOICES,
         default="monomial",
         help="polynomial basis for the Krylov block",
     )
     p.add_argument(
         "--arnoldi",
-        choices=("classical", "modified"),
+        choices=ARNOLDI_CHOICES,
         default="classical",
         help="block Arnoldi variant",
     )
     p.add_argument(
         "--orth",
-        choices=("bcgsi+", "bmgs"),
+        choices=ORTH_CHOICES,
         default="bcgsi+",
         help="block orthogonalization method",
     )
@@ -126,7 +131,7 @@ def _build_parser():
     )
     p.add_argument(
         "--basis-operator",
-        choices=("plain", "preconditioned"),
+        choices=BASIS_OPERATOR_CHOICES,
         default="plain",
         help="operator the classical variant builds the polynomial basis with; "
         "the modified variant always uses the preconditioned one",
@@ -190,17 +195,17 @@ def _dense_enough(n, nnz):
 def _load_problem(args):
     """Returns (A, n, right singular vectors or None).
 
-    A is an ndarray when it stores at least n^2 / DENSE_FILL_DENOMINATOR
-    entries, and a CsrMatrix otherwise.
+    A read from a file is an ndarray when it stores at least
+    n^2 / DENSE_FILL_DENOMINATOR entries, and a CsrMatrix otherwise. A
+    generated A is always an ndarray: with a finite kappa it has no zero
+    entry almost surely.
     """
     if args.matrix is not None:
         mat = parse_matrix_market(args.matrix)
         dense = _dense_enough(mat.n, mat.nnz)
         return (mat.to_dense() if dense else mat), mat.n, None
     a, v, _ = gen_randsvd(_parse_randsvd(args.randsvd))
-    n = a.shape[0]
-    dense = _dense_enough(n, np.count_nonzero(a))
-    return (a if dense else csr_from_dense(a)), n, v
+    return a, a.shape[0], v
 
 
 def _resolve_rhs(text, n, singular_vectors):
@@ -250,28 +255,20 @@ def _print_summary(result, storage):
 def _run_solve(args):
     mat, n, singular_vectors = _load_problem(args)
     rhs = _resolve_rhs(args.rhs, n, singular_vectors)
-    try:
-        config = SolverConfig(
-            s=args.s,
-            basis=args.basis,
-            arnoldi=args.arnoldi,
-            orth=args.orth,
-            tol=args.tol,
-            tol_h=args.tolh,
-            restart=args.restart,
-            max_outer=args.max_outer,
-            basis_operator=args.basis_operator,
-            diag_every=args.diag_every,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    config = SolverConfig(
+        s=args.s,
+        basis=args.basis,
+        arnoldi=args.arnoldi,
+        orth=args.orth,
+        tol=args.tol,
+        tol_h=args.tolh,
+        restart=args.restart,
+        max_outer=args.max_outer,
+        basis_operator=args.basis_operator,
+        diag_every=args.diag_every,
+    )
     prec = jacobi_preconditioner(mat) if args.precond == "jacobi" else None
-    try:
-        result = solve(mat, rhs, config=config, preconditioner=prec)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    except ArithmeticError as exc:
-        raise CliError(str(exc))
+    result = solve(mat, rhs, config=config, preconditioner=prec)
     if args.csv is not None:
         write_csv(result.records, args.csv)
     if args.summary:
@@ -329,10 +326,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, MatrixMarketError) as exc:
+    # ValueError covers MatrixMarketError and every input check of the
+    # library; ArithmeticError a solve whose backward error is not finite
+    except (CliError, OSError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,8 @@
-"""Dense kernels: Householder QR, Givens rotations, one-sided Jacobi SVD.
+"""Dense kernels: Householder QR, Givens rotations, the 2-norm condition
+number, and a one-sided Jacobi SVD as its reference.
+
+The solver's rank decisions are not made here: the QR returns its
+factors, and what a small pivot means is up to the caller that reads it.
 
 The solver's QR is LAPACK's (through numpy); the pivoted QR behind the
 conditioning diagnostics stays in-package, so the measurements do not
@@ -18,22 +22,16 @@ orthogonality the QR lost appears in E entry by entry.
 ``jacobi_svd_values`` gives every singular value by one-sided Jacobi on
 the same pivoted R; it is the reference ``cond2`` is tested against.
 
-Everything downstream (block orthogonalization, the Arnoldi processes, the
-least-squares update, the conditioning diagnostics) builds on this module.
 All routines are deterministic for a fixed input on a fixed platform.
 """
 
-import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "UNIT_ROUNDOFF",
     "GivensRotation",
-    "JacobiConvergenceError",
-    "QrResult",
     "compute_givens",
     "cond2",
     "householder_qr",
@@ -44,29 +42,6 @@ __all__ = [
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-class JacobiConvergenceError(RuntimeError):
-    """One-sided Jacobi did not converge within the sweep cap.
-
-    The best available singular values are attached as ``values`` so callers
-    that only log conditioning can degrade gracefully.
-    """
-
-    def __init__(self, values, sweeps):
-        super().__init__(
-            "one-sided Jacobi SVD did not converge within %d sweeps" % sweeps
-        )
-        self.values = values
-        self.sweeps = sweeps
-
-
-class QrResult(NamedTuple):
-    q: np.ndarray
-    r: np.ndarray
-    # Index of the first column whose Householder pivot fell below
-    # u * ||M||_F (or the caller-supplied scale); None if full rank.
-    deficient_col: "int | None"
-
-
 def _as_matrix(m, name="m"):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -74,51 +49,24 @@ def _as_matrix(m, name="m"):
     return a
 
 
-def householder_qr(m, deficiency_scale=None):
-    """Thin Householder QR with a nonnegative R diagonal.
+def householder_qr(m):
+    """Thin Householder QR of m (rows >= cols) with a nonnegative R diagonal.
 
-    LAPACK dgeqrf + dorgqr through ``np.linalg.qr``.
-
-    Parameters
-    ----------
-    m : (rows, cols) array, rows >= cols
-    deficiency_scale : float, optional
-        Scale against which pivot collapse is judged. A pivot at or below
-        4 * sqrt(rows) * u * deficiency_scale marks the column deficient
-        (the sqrt(rows) factor covers cancellation noise from eliminating
-        an exactly dependent column). Defaults to ||m||_F. The modified
-        Arnoldi step passes the norm of its block as it was before
-        projection so that fully projected-out columns are still
-        recognized.
-
-    Returns
-    -------
-    QrResult(q, r, deficient_col)
-        q is rows x cols with orthonormal columns, r is cols x cols upper
-        triangular with r[j, j] >= 0, and m = q @ r. deficient_col is the
-        index of the first rank-deficient column, or None.
+    LAPACK dgeqrf + dorgqr through ``np.linalg.qr``, then the signs of
+    q's columns and r's rows flipped so that r[j, j] >= 0. Returns
+    (q, r): q is rows x cols with orthonormal columns, r is cols x cols
+    upper triangular, and m = q @ r. Rank is not decided here; r[j, j]
+    is the Householder pivot of column j, for the caller to test.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError("householder_qr needs rows >= cols, got %d x %d" % (rows, cols))
-    if cols == 0:
-        return QrResult(np.zeros((rows, 0)), np.zeros((0, 0)), None)
-
-    scale = float(deficiency_scale) if deficiency_scale is not None else float(np.linalg.norm(a))
-    threshold = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF * scale
     q, r = np.linalg.qr(a, mode="reduced")
-    # |R[j, j]| is the norm of column j's trailing part when its reflector
-    # is formed, i.e. the Householder pivot.
-    diag = np.diag(r)
-    dead = np.flatnonzero(np.abs(diag) <= threshold)
-    deficient = int(dead[0]) if dead.size else None
-
-    # Sign convention: R diagonal nonnegative.
-    d = np.where(diag < 0.0, -1.0, 1.0)
+    d = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q *= d
     r *= d[:, None]
-    return QrResult(q, r, deficient)
+    return q, r
 
 
 @dataclass
@@ -146,7 +94,7 @@ def compute_givens(a, b, row=0):
 
 
 def _qrcp_r(a):
-    """R factor of a column-pivoted Householder QR (values-only preprocessing).
+    """R factor of a column-pivoted Householder QR of a (rows >= cols).
 
     Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That keeps the
     one-sided Jacobi iteration fast and accurate and bounds the growth of
@@ -154,9 +102,8 @@ def _qrcp_r(a):
     ``a`` up to a backward-stable factorization.
     """
     work = np.array(a, dtype=float, order="F", copy=True)
-    rows, cols = work.shape
-    steps = min(rows, cols)
-    for j in range(steps):
+    cols = work.shape[1]
+    for j in range(cols):
         tail = work[j:, j:]
         norms2 = np.einsum("ij,ij->j", tail, tail)
         k = int(np.argmax(norms2))
@@ -176,19 +123,16 @@ def _qrcp_r(a):
                 rest -= np.outer(v, (2.0 / vtv) * (v @ rest))
         work[j, j] = beta
         work[j + 1:, j] = 0.0
-    return np.triu(work[:steps, :]) if rows >= cols else work[:steps, :]
+    return np.triu(work[:cols])
 
 
-@functools.lru_cache(maxsize=4)
 def _round_robin_schedule(k):
     """Tournament pairing: k-1 rounds of disjoint column pairs covering all pairs.
 
-    Returns read-only (ip, iq), one row per round: round r pairs column
-    ip[r, i] with iq[r, i]. This is the circle method: column 0 stays put
-    and the others rotate by one place per round; for odd k a dummy
-    column k sits out one pairing per round. A schedule takes O(k^2)
-    memory and is the same for every matrix of width k, so the few most
-    recent widths are cached for repeated ``jacobi_svd_values`` calls.
+    Returns (ip, iq), one row per round: round r pairs column ip[r, i]
+    with iq[r, i]. This is the circle method: column 0 stays put and the
+    others rotate by one place per round; for odd k a dummy column k
+    sits out one pairing per round.
     """
     m = k + k % 2
     half = m // 2
@@ -200,8 +144,6 @@ def _round_robin_schedule(k):
     real = (ip < k) & (iq < k)
     ip = ip[real].reshape(m - 1, -1)
     iq = iq[real].reshape(m - 1, -1)
-    ip.flags.writeable = False
-    iq.flags.writeable = False
     return ip, iq
 
 
@@ -252,29 +194,16 @@ def _require_finite(a):
     return a
 
 
-def _jacobi_values_of_r(r, tol, max_sweeps):
-    # Rotating the rows of the pivoted R factor (columns of R^T) converges
-    # markedly faster than rotating R or the raw input and preserves the
-    # relative accuracy of small values.
-    w = np.array(r.T, order="F")
-    converged = _jacobi_sweeps(w, tol, max_sweeps)
-    sigma = np.sort(np.linalg.norm(w, axis=0))[::-1].copy()
-    if not converged:
-        raise JacobiConvergenceError(sigma, max_sweeps)
-    return sigma
-
-
-def jacobi_svd_values(m, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
+def jacobi_svd_values(m):
     """Singular values of m (rows >= cols), descending, by one-sided Jacobi.
 
     The matrix is first reduced to its pivoted R factor, then Jacobi
     rotations are applied to column pairs until every off-diagonal Gram
-    entry is below ``tol`` relative to its diagonal pair. Chosen over a
-    bidiagonalization path for the relative accuracy of small singular
-    values, which the conditioning diagnostics depend on.
+    entry is below ``JACOBI_TOL`` relative to its diagonal pair. Chosen
+    over a bidiagonalization path for the relative accuracy of small
+    singular values; ``cond2`` is tested against it.
 
-    Raises JacobiConvergenceError (with best available values attached)
-    if the sweep cap is exhausted.
+    Raises RuntimeError if ``JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
@@ -282,7 +211,15 @@ def jacobi_svd_values(m, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
         raise ValueError("jacobi_svd_values needs rows >= cols, got %d x %d" % (rows, cols))
     if cols == 0:
         return np.zeros(0)
-    return _jacobi_values_of_r(_qrcp_r(_require_finite(a)), tol, max_sweeps)
+    # Rotating the rows of the pivoted R factor (columns of R^T) converges
+    # markedly faster than rotating R or the raw input and preserves the
+    # relative accuracy of small values.
+    w = np.array(_qrcp_r(_require_finite(a)).T, order="F")
+    if not _jacobi_sweeps(w, JACOBI_TOL, JACOBI_MAX_SWEEPS):
+        raise RuntimeError(
+            "one-sided Jacobi SVD did not converge within %d sweeps" % JACOBI_MAX_SWEEPS
+        )
+    return np.sort(np.linalg.norm(w, axis=0))[::-1].copy()
 
 
 # the Gram path measures only while every eigenvalue of I - A^T A lies

@@ -28,13 +28,6 @@ __all__ = [
     "write_csv",
 ]
 
-CSV_HEADER = (
-    "outer,inner_cols,backward_error,ls_residual_estimate,"
-    "cond_B_tilde,cond_B_subblock,cond_V,ortho_loss_V,stop_reason,"
-    "restart_cycle"
-)
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """State of the solve after one block step.
@@ -55,6 +48,11 @@ class IterationRecord:
     ortho_loss_V: float
     stop_reason: str
     restart_cycle: int
+
+
+# the CSV columns are IterationRecord's fields, in order
+_FIELDS = fields(IterationRecord)
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 def basis_condition_numbers(state, valid_cols=None):
@@ -102,7 +100,7 @@ def write_csv(records, destination):
     try:
         stream.write(CSV_HEADER + "\n")
         for rec in records:
-            row = [_format_value(getattr(rec, f.name)) for f in fields(IterationRecord)]
+            row = [_format_value(getattr(rec, f.name)) for f in _FIELDS]
             stream.write(",".join(row) + "\n")
     finally:
         if own:
@@ -111,6 +109,10 @@ def write_csv(records, destination):
 
 def _parse_float(text):
     return float("nan") if text == "" else float(text)
+
+
+# parser of a CSV field by its annotated type in IterationRecord
+_PARSERS = {int: int, float: _parse_float, str: str}
 
 
 def read_csv(source):
@@ -124,21 +126,12 @@ def read_csv(source):
         records = []
         for line in stream:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 10:
-                raise ValueError("expected 10 fields, got %d" % len(parts))
-            records.append(
-                IterationRecord(
-                    outer=int(parts[0]),
-                    inner_cols=int(parts[1]),
-                    backward_error=_parse_float(parts[2]),
-                    ls_residual_estimate=_parse_float(parts[3]),
-                    cond_B_tilde=_parse_float(parts[4]),
-                    cond_B_subblock=_parse_float(parts[5]),
-                    cond_V=_parse_float(parts[6]),
-                    ortho_loss_V=_parse_float(parts[7]),
-                    stop_reason=parts[8],
-                    restart_cycle=int(parts[9]),
+            if len(parts) != len(_FIELDS):
+                raise ValueError(
+                    "expected %d fields, got %d" % (len(_FIELDS), len(parts))
                 )
+            records.append(
+                IterationRecord(*(_PARSERS[f.type](t) for f, t in zip(_FIELDS, parts)))
             )
         return records
     finally:

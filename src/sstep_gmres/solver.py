@@ -7,9 +7,9 @@ problem is updated by Givens rotations exactly as in standard GMRES, so
 stopping logic and solution assembly are shared across step sizes; s = 1
 reproduces standard GMRES column for column.
 
-Every block step decides whether the run stops, first match wins: an
-exactly rank-deficient new basis column ends the run, because the
-searched space cannot grow (``breakdown_converged`` if the backward
+Every block step decides whether the run stops, first match wins: a
+new basis column that adds no direction (exact rank loss) ends the run,
+because the searched space cannot grow (``breakdown_converged`` if the backward
 error passes ``tol`` at that point, ``key_dimension_reached``
 otherwise); otherwise a backward error at or below ``tol`` ends it as
 ``converged_backward``; otherwise an exhausted step or cycle budget
@@ -221,9 +221,6 @@ class _LeastSquares:
             self.g[c], self.g[c + 1] = rot.apply(self.g[c], self.g[c + 1])
         self.t[:, c0 : c0 + width] = block
         self.ncols += width
-
-    def absorb_column(self, h_col):
-        self.absorb_columns(np.asarray(h_col)[:, None])
 
     @property
     def residual_estimate(self):

@@ -369,8 +369,8 @@ class RandSvdSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.kappa >= 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not 1.0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and >= 1")
         if self.mode not in (1, 2, 3, 4, 5):
             raise ValueError("mode must be in 1..5")
 
@@ -403,8 +403,8 @@ def gen_randsvd(spec):
     """
     generator = np.random.Generator(np.random.PCG64(spec.seed))
     sigma = _randsvd_sigma(spec, generator)
-    u = householder_qr(generator.standard_normal((spec.n, spec.n))).q
-    v = householder_qr(generator.standard_normal((spec.n, spec.n))).q
+    u = householder_qr(generator.standard_normal((spec.n, spec.n)))[0]
+    v = householder_qr(generator.standard_normal((spec.n, spec.n)))[0]
     a = (u * sigma) @ v.T
     return a, v, sigma
 

@@ -384,7 +384,7 @@ def test_criterion_8_oracle_equivalence():
         beta = 1.0 + seed
         ls = _LeastSquares(p, beta)
         for c in range(p):
-            ls.absorb_column(h[: c + 2, c])
+            ls.absorb_columns(h[: c + 2, c : c + 1])
         rhs = np.zeros(p + 1)
         rhs[0] = beta
         y_oracle = np.linalg.solve(h.T @ h, h.T @ rhs)

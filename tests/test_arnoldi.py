@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from sstep_gmres.arnoldi import (
     ArnoldiState,
     OperatorSet,
+    _live_width,
     classical_step,
     modified_step,
     truncate_after_breakdown,
 )
 from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step, loss_of_orthogonality
-from sstep_gmres.dense import UNIT_ROUNDOFF, cond2
+from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, householder_qr
 from sstep_gmres.diagnostics import basis_condition_numbers
 from sstep_gmres.solver import SolverConfig, _resolve_basis
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
@@ -172,6 +174,63 @@ class TestClassicalStep:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert got.vr.q.tobytes() == want.vr.q.tobytes()
             assert got.vr.r.tobytes() == want.vr.r.tobytes()
+
+
+def live_width(m, scale=None):
+    """``_live_width`` of m's QR, judged against ||m||_F unless ``scale``."""
+    scale = np.linalg.norm(m) if scale is None else scale
+    return _live_width(householder_qr(m)[1], m.shape[0], scale)
+
+
+def _graded_columns(rows, norms, seed):
+    """Columns with prescribed pivots: Q_0 times an upper triangle whose
+    diagonal is ``norms`` and whose strict upper part is O(1)."""
+    g = rng(seed)
+    q0, _ = np.linalg.qr(g.standard_normal((rows, len(norms))))
+    t = np.triu(g.standard_normal((len(norms), len(norms))), 1)
+    t[np.diag_indices(len(norms))] = norms
+    return q0 @ t
+
+
+class TestDeadPivotCut:
+    """The modified step keeps a candidate QR's columns up to its first
+    pivot at or below 4 sqrt(rows) u ||K||_F, and at least one."""
+
+    def test_duplicate_column(self):
+        v = rng(3).standard_normal((40, 1))
+        assert live_width(np.hstack([v, v])) == 1
+
+    def test_scale_override(self):
+        # a column of size ~1e-12 is dead only against a large scale
+        m = np.diag([1.0, 1e-12])
+        assert live_width(m) == 2
+        assert live_width(m, scale=1e6) == 1
+
+    def test_zero_column_in_middle_of_block(self):
+        m = rng(5).standard_normal((64, 5))
+        m[:, 2] = 0.0
+        assert live_width(m) == 2
+
+    @pytest.mark.parametrize(
+        "norms,first",
+        [
+            ([1.0, 0.5, 1e-19, 1.0, 1e-19], 2),
+            ([1.0, 1e-19, 1.0, 1e-19, 1.0], 1),
+            ([1.0, 1.0, 1.0, 1.0, 1e-19], 4),
+            ([1.0, 1e-12, 1.0, 1e-11, 1.0], None),
+            ([1e-19, 1.0, 1.0, 1.0, 1.0], 0),
+        ],
+    )
+    def test_first_pivot_at_or_below_threshold(self, norms, first):
+        m = _graded_columns(40, norms, seed=11)
+        threshold = 4.0 * np.sqrt(m.shape[0]) * UNIT_ROUNDOFF * np.linalg.norm(m)
+        pivots = np.abs(np.diag(scipy.linalg.qr(m, mode="economic")[1]))
+        # the graded pivots sit far from the threshold on either side
+        assert np.all((pivots <= threshold / 10.0) | (pivots >= 10.0 * threshold))
+        dead = np.flatnonzero(pivots <= threshold)
+        assert (int(dead[0]) if dead.size else None) == first
+        # the cut keeps the columns before the first dead pivot, at least one
+        assert live_width(m) == (len(norms) if first is None else max(first, 1))
 
 
 class TestModifiedStep:

@@ -179,6 +179,23 @@ class TestUsageErrors:
         assert code == 1
         assert "at least 1" in err
 
+    def test_zero_diagonal_with_jacobi_is_an_input_error(self, capsys, tmp_path):
+        path = str(tmp_path / "offdiag.mtx")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n")
+            fh.write("2 2 2\n1 2 1.0\n2 1 1.0\n")
+        code, _, err = run(capsys, "solve", "--matrix", path, "--precond", "jacobi")
+        assert code == 1
+        assert "error: zero diagonal entry at row 0" in err
+        assert "Traceback" not in err
+
+    def test_infinite_kappa_rejected(self, capsys, tmp_path):
+        out = str(tmp_path / "m.mtx")
+        code, _, err = run(capsys, "gen", "--randsvd", "6,inf,3,1", "--out", out)
+        assert code == 1
+        assert "kappa must be finite" in err
+        assert not os.path.exists(out)
+
     def test_help_lists_every_solve_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--help"])

@@ -11,7 +11,6 @@ from sstep_gmres import dense
 from sstep_gmres.dense import (
     UNIT_ROUNDOFF,
     GivensRotation,
-    JacobiConvergenceError,
     compute_givens,
     cond2,
     householder_qr,
@@ -31,71 +30,51 @@ def bidiagonal_svd_oracle(m):
 
 class TestHouseholderQr:
     def test_single_column(self):
-        q, r, deficient = householder_qr(np.array([[3.0], [4.0]]))
+        q, r = householder_qr(np.array([[3.0], [4.0]]))
         assert_allclose(r, [[5.0]], rtol=1e-15)
         assert_allclose(q, [[0.6], [0.8]], rtol=1e-15)
-        assert deficient is None
 
     def test_identity(self):
-        q, r, deficient = householder_qr(np.eye(3))
+        q, r = householder_qr(np.eye(3))
         assert_allclose(q, np.eye(3), atol=1e-15)
         assert_allclose(r, np.eye(3), atol=1e-15)
-        assert deficient is None
 
     def test_seeded_gaussian_orthonormality_and_residual(self):
         m = rng(7).standard_normal((200, 20))
-        q, r, deficient = householder_qr(m)
-        assert deficient is None
+        q, r = householder_qr(m)
         assert np.linalg.norm(q.T @ q - np.eye(20)) <= 1e-14
         assert np.linalg.norm(q @ r - m) <= 1e-14 * np.linalg.norm(m)
 
     def test_r_diagonal_nonnegative_and_triangular(self):
         for seed in range(8):
             m = rng(seed).standard_normal((30, 12))
-            _, r, _ = householder_qr(m)
+            _, r = householder_qr(m)
             assert np.all(np.diag(r) >= 0.0)
             assert_allclose(r, np.triu(r), atol=0.0)
 
     def test_rank_deficient_duplicate_column(self):
         v = rng(3).standard_normal((40, 1))
         m = np.hstack([v, v])
-        q, r, deficient = householder_qr(m)
-        assert deficient == 1
-        # Factorization still reproduces the input.
+        q, r = householder_qr(m)
+        # the factorization still reproduces the input
         assert np.linalg.norm(q @ r - m) <= 1e-13 * np.linalg.norm(m)
-
-    def test_deficiency_scale_override(self):
-        # A column of size ~1e-12 is deficient only against a large scale.
-        m = np.diag([1.0, 1e-12])
-        assert householder_qr(m).deficient_col is None
-        assert householder_qr(m, deficiency_scale=1e6).deficient_col == 1
 
     def test_orthonormality_well_conditioned_batch(self):
         # cond2 <= 1e8, shapes up to 1000 x 100
         shapes = [(60, 6), (300, 40), (1000, 100)]
         for i, (rows, cols) in enumerate(shapes):
             m = matrix_with_cond(rows, cols, 1e8, seed=100 + i)
-            q, r, _ = householder_qr(m)
+            q, r = householder_qr(m)
             assert np.linalg.norm(q.T @ q - np.eye(cols)) <= 1e-13
             assert np.linalg.norm(q @ r - m) <= 1e-13 * np.linalg.norm(m)
 
     def test_zero_width(self):
-        q, r, deficient = householder_qr(np.zeros((5, 0)))
-        assert q.shape == (5, 0) and r.shape == (0, 0) and deficient is None
+        q, r = householder_qr(np.zeros((5, 0)))
+        assert q.shape == (5, 0) and r.shape == (0, 0)
 
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError):
             householder_qr(np.ones((2, 3)))
-
-
-def _graded_columns(rows, norms, seed):
-    """Columns with prescribed pivots: Q_0 times an upper triangle whose
-    diagonal is ``norms`` and whose strict upper part is O(1)."""
-    g = rng(seed)
-    q0, _ = np.linalg.qr(g.standard_normal((rows, len(norms))))
-    t = np.triu(g.standard_normal((len(norms), len(norms))), 1)
-    t[np.diag_indices(len(norms))] = norms
-    return q0 @ t
 
 
 class TestHouseholderQrContract:
@@ -105,7 +84,7 @@ class TestHouseholderQrContract:
         for seed in range(6):
             g = rng(40 + seed)
             m = g.standard_normal((120, 8)) * np.geomspace(1.0, 1e-6, 8)
-            _, r, _ = householder_qr(m)
+            _, r = householder_qr(m)
             r_ref = scipy.linalg.qr(m, mode="economic")[1]
             diff = np.abs(np.diag(r)) - np.abs(np.diag(r_ref))
             assert np.max(np.abs(diff)) <= 8.0 * UNIT_ROUNDOFF * np.linalg.norm(m)
@@ -113,30 +92,10 @@ class TestHouseholderQrContract:
     def test_zero_column_in_middle_of_block(self):
         m = rng(5).standard_normal((64, 5))
         m[:, 2] = 0.0
-        q, r, deficient = householder_qr(m)
-        assert deficient == 2
+        q, r = householder_qr(m)
         assert r[2, 2] == 0.0
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-14
         assert np.linalg.norm(q @ r - m) <= 1e-14 * np.linalg.norm(m)
-
-    @pytest.mark.parametrize(
-        "norms,first",
-        [
-            ([1.0, 0.5, 1e-19, 1.0, 1e-19], 2),
-            ([1.0, 1e-19, 1.0, 1e-19, 1.0], 1),
-            ([1.0, 1.0, 1.0, 1.0, 1e-19], 4),
-            ([1.0, 1e-12, 1.0, 1e-11, 1.0], None),
-        ],
-    )
-    def test_first_pivot_at_or_below_threshold(self, norms, first):
-        m = _graded_columns(40, norms, seed=11)
-        threshold = 4.0 * np.sqrt(m.shape[0]) * UNIT_ROUNDOFF * np.linalg.norm(m)
-        pivots = np.abs(np.diag(scipy.linalg.qr(m, mode="economic")[1]))
-        # the graded pivots sit far from the threshold on either side
-        assert np.all((pivots <= threshold / 10.0) | (pivots >= 10.0 * threshold))
-        dead = np.flatnonzero(pivots <= threshold)
-        assert (int(dead[0]) if dead.size else None) == first
-        assert householder_qr(m).deficient_col == first
 
 
 class TestRoundRobinSchedule:
@@ -144,7 +103,6 @@ class TestRoundRobinSchedule:
     def test_rounds_are_disjoint_and_cover_each_pair_once(self, k):
         ip, iq = _round_robin_schedule(k)
         assert ip.shape == iq.shape == (k - 1 + k % 2, k // 2)
-        assert not ip.flags.writeable and not iq.flags.writeable
         pairs = []
         for p, q in zip(ip, iq):
             assert len(set(p) | set(q)) == 2 * len(p)
@@ -253,11 +211,10 @@ class TestJacobiSvd:
         with pytest.raises(ValueError):
             jacobi_svd_values(m)
 
-    def test_convergence_error_carries_values(self):
-        m = rng(1).standard_normal((12, 12))
-        with pytest.raises(JacobiConvergenceError) as info:
-            jacobi_svd_values(m, max_sweeps=0)
-        assert info.value.values.shape == (12,)
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(dense, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(RuntimeError, match="did not converge within 0 sweeps"):
+            jacobi_svd_values(rng(1).standard_normal((12, 12)))
 
 
 def near_orthonormal(rows, cols, radius, seed):

@@ -1,6 +1,7 @@
 """Tests for the diagnostics records and their CSV round trip."""
 
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestCsvRoundTrip:
         write_csv(records, str(path))
         # NaN fields defeat dataclass equality, so compare re-serialized text
         assert csv_text(read_csv(str(path))) == csv_text(records)
+
+    def test_fields_parse_by_annotated_type(self):
+        back = read_csv(io.StringIO(csv_text(sample_records())))
+        for rec in back:
+            for f in fields(IterationRecord):
+                assert type(getattr(rec, f.name)) is f.type
 
     def test_rejects_foreign_header(self):
         with pytest.raises(ValueError, match="header"):

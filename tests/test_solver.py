@@ -32,7 +32,7 @@ def random_hessenberg_ls(p, seed, beta=1.0):
     h[np.arange(1, p + 1), np.arange(p)] += 3.0  # keep it well conditioned
     ls = _LeastSquares(p, beta)
     for c in range(p):
-        ls.absorb_column(h[: c + 2, c])
+        ls.absorb_columns(h[: c + 2, c : c + 1])
     return h, ls
 
 
@@ -64,7 +64,7 @@ class TestLeastSquares:
         ls = _LeastSquares(p, 1.0)
         last = 1.0
         for c in range(p):
-            ls.absorb_column(h[: c + 2, c])
+            ls.absorb_columns(h[: c + 2, c : c + 1])
             assert ls.residual_estimate <= last + 1e-15
             last = ls.residual_estimate
 

@@ -376,6 +376,13 @@ class TestRandSvd:
         with pytest.raises(ValueError):
             RandSvdSpec(5, 10.0, 6, 0)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    def test_spec_rejects_nonfinite_kappa(self, kappa):
+        # kappa = inf would make every value but sigma_1 zero: a singular
+        # matrix under a prescribed-condition spec
+        with pytest.raises(ValueError, match="finite"):
+            RandSvdSpec(6, kappa, 3, 1)
+
     def test_right_singular_vector_bounds(self):
         _, v, _ = gen_randsvd(RandSvdSpec(5, 10.0, 3, 0))
         with pytest.raises(ValueError):
