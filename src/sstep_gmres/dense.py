@@ -1,5 +1,6 @@
 """Dense kernels: Householder QR, Givens rotations, the 2-norm condition
-number, and a one-sided Jacobi SVD as its reference.
+number, a one-sided Jacobi SVD as its reference, and a scale-safe
+Frobenius norm.
 
 The solver's rank decisions are not made here: the QR returns its
 factors, and what a small pivot means is up to the caller that reads it.
@@ -22,6 +23,13 @@ orthogonality the QR lost appears in E entry by entry.
 ``jacobi_svd_values`` gives every singular value by one-sided Jacobi on
 the same pivoted R; it is the reference ``cond2`` is tested against.
 
+The two halves of ``cond2`` are also public for callers that hold their
+own triangular factor: ``gram_cond2`` is the Gram path alone, and
+``triangular_cond2`` the tail from an R factor to the condition number
+(the noise floor on R's diagonal, then ||R||_2 ||R^{-1}||_2, then inf on
+overflow). ``cond2_and_orthogonality_loss`` measures an orthonormal
+basis: cond2 and ||I - Q^T Q||_2 from one ``eigvalsh``.
+
 All routines are deterministic for a fixed input on a fixed platform.
 """
 
@@ -34,8 +42,12 @@ __all__ = [
     "GivensRotation",
     "compute_givens",
     "cond2",
+    "cond2_and_orthogonality_loss",
+    "frobenius_norm",
+    "gram_cond2",
     "householder_qr",
     "jacobi_svd_values",
+    "triangular_cond2",
 ]
 
 # Unit roundoff of binary64. Note np.finfo(float).eps is 2u.
@@ -227,7 +239,7 @@ def jacobi_svd_values(m):
 GRAM_PATH_RADIUS = 0.5
 
 
-def _gram_cond2(a, a_max):
+def _gram_cond2(a, a_max, spectrum=None):
     """cond2 of a tall, finite a from the spectrum of E = I - a^T a.
 
     Returns None unless ||E||_2 <= GRAM_PATH_RADIUS. Input that passes
@@ -237,16 +249,71 @@ def _gram_cond2(a, a_max):
     max |E_ij| <= ||E||_2 rejects most other input before ``eigvalsh``
     runs, so it then costs one GEMM. With eigenvalues e_1 <= ... <= e_k
     of E, sigma_i^2 = 1 - e_i, hence cond2 = sqrt((1 - e_1) / (1 - e_k)).
+    A caller that has already formed E and its eigenvalues passes them
+    as ``spectrum`` = (E, eigenvalues), and gets the same bits.
     """
     if a_max > 2.0:
         return None
-    e = np.eye(a.shape[1]) - a.T @ a
+    if spectrum is None:
+        e, ev = np.eye(a.shape[1]) - a.T @ a, None
+    else:
+        e, ev = spectrum
     if np.abs(e).max() > GRAM_PATH_RADIUS:
         return None
-    ev = np.linalg.eigvalsh(e)
+    if ev is None:
+        ev = np.linalg.eigvalsh(e)
     if max(-ev[0], ev[-1]) > GRAM_PATH_RADIUS:
         return None
     return float(np.sqrt((1.0 - ev[0]) / (1.0 - ev[-1])))
+
+
+def _cond2_input(m):
+    """The checked, tall form of cond2's input and its largest |entry|."""
+    a = _as_matrix(m)
+    if a.size == 0 or not np.any(a):
+        raise ValueError("cond2 requires a nonzero matrix")
+    _require_finite(a)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    return a, np.abs(a).max()
+
+
+def gram_cond2(m):
+    """cond2(m) when the Gram path measures m, else None.
+
+    The same input checks and the same bits as ``cond2`` on that path;
+    a caller with its own route for the rest tries this first.
+    """
+    return _gram_cond2(*_cond2_input(m))
+
+
+def triangular_cond2(r, rows, graded=False):
+    """cond2 of a rows x k matrix from its k x k triangular R factor.
+
+    The rounding-noise floor is 4 * sqrt(rows) * u: a diagonal entry at
+    or below it relative to the largest diagonal entry reports inf, since
+    sigma_min <= min |r_kk| and sigma_max >= max |r_kk| for a triangular
+    R. A column-pivoted R is ``graded``, and its largest diagonal entry
+    is |r_11|. Otherwise sigma_max = ||R||_2 and
+    sigma_min = 1 / ||R^{-1}||_2; an R^{-1} that overflows, or a ratio
+    at or below the floor, reports inf. See ``cond2`` for the accuracy
+    of this route.
+    """
+    ratio = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF
+    diag = np.abs(np.diag(r))
+    if diag.min() <= ratio * (diag[0] if graded else diag.max()):
+        return np.inf
+    # r is upper triangular with a nonzero diagonal, so LU with partial
+    # pivoting keeps L = I and U = r: this is back substitution against I.
+    # An overflow leaves inf in r_inv; numpy raises no warning for it.
+    r_inv = np.linalg.inv(r)
+    if not np.all(np.isfinite(r_inv)):
+        return np.inf
+    sigma_max = np.linalg.norm(r, 2)
+    sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
+    if sigma_min <= ratio * sigma_max:
+        return np.inf
+    return float(sigma_max / sigma_min)
 
 
 def cond2(m):
@@ -273,48 +340,66 @@ def cond2(m):
       candidates) land here.
     - Everything else: the pivoted R factor of the input scaled by the
       power of two that brings max |a_ij| into [1/2, 1), then
-      sigma_max = ||R||_2 and sigma_min = 1 / ||R^{-1}||_2. The scaling
-      is exact unless it makes entries subnormal, so the result does
-      not depend on the input's scale. R settles most rank losses by
-      itself: R is triangular, so sigma_min <= min |r_kk| and
-      sigma_max >= |r_11|, and a diagonal entry at or below the floor
-      relative to |r_11| puts sigma_min at or below it too. Otherwise R
-      is inverted. Triangular inversion is componentwise backward
-      stable (Higham, Accuracy and Stability of Numerical Algorithms,
-      section 8): the computed R^{-1} is the exact inverse of R + dR
-      with |dR| <= c(cols) * u * |R|. A componentwise perturbation of a
-      column-pivoted R moves its singular values by a relative amount
-      bounded through the condition of R's row-scaled form (Demmel and
-      Veselic, SIMAX 1992), the same bound that governs one-sided
-      Jacobi on R^T, so sigma_min keeps the relative accuracy of
-      ``jacobi_svd_values`` at a fraction of its cost. An R^{-1} that
+      sigma_max = ||R||_2 and sigma_min = 1 / ||R^{-1}||_2
+      (``triangular_cond2``). The scaling is exact unless it makes
+      entries subnormal, so the result does not depend on the input's
+      scale. R settles most rank losses by itself: R is triangular, so
+      sigma_min <= min |r_kk| and sigma_max >= |r_11|, and a diagonal
+      entry at or below the floor relative to |r_11| puts sigma_min at
+      or below it too. Otherwise R is inverted. Triangular inversion is
+      componentwise backward stable (Higham, Accuracy and Stability of
+      Numerical Algorithms, section 8): the computed R^{-1} is the exact
+      inverse of R + dR with |dR| <= c(cols) * u * |R|. A componentwise
+      perturbation of a column-pivoted R moves its singular values by a
+      relative amount bounded through the condition of R's row-scaled
+      form (Demmel and Veselic, SIMAX 1992), the same bound that governs
+      one-sided Jacobi on R^T, so sigma_min keeps the relative accuracy
+      of ``jacobi_svd_values`` at a fraction of its cost. An R^{-1} that
       overflows reports inf.
     """
-    a = _as_matrix(m)
-    if a.size == 0 or not np.any(a):
-        raise ValueError("cond2 requires a nonzero matrix")
-    _require_finite(a)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a_max = np.abs(a).max()
+    a, a_max = _cond2_input(m)
     gram = _gram_cond2(a, a_max)
     if gram is not None:
         return gram
-    ratio = 4.0 * np.sqrt(a.shape[0]) * UNIT_ROUNDOFF
     # squared column norms of the scaled input neither under- nor overflow
     _, exponent = np.frexp(a_max)
     r = _qrcp_r(np.ldexp(a, -exponent))
-    diag = np.abs(np.diag(r))
-    if diag.min() <= ratio * diag[0]:
-        return np.inf
-    # r is upper triangular with a nonzero diagonal, so LU with partial
-    # pivoting keeps L = I and U = r: this is back substitution against I.
-    # An overflow leaves inf in r_inv; numpy raises no warning for it.
-    r_inv = np.linalg.inv(r)
-    if not np.all(np.isfinite(r_inv)):
-        return np.inf
-    sigma_max = np.linalg.norm(r, 2)
-    sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
-    if sigma_min <= ratio * sigma_max:
-        return np.inf
-    return float(sigma_max / sigma_min)
+    return triangular_cond2(r, a.shape[0], graded=True)
+
+
+def cond2_and_orthogonality_loss(m):
+    """cond2(m) and ||I - m^T m||_2 from one ``eigvalsh`` of E = I - m^T m.
+
+    Bit for bit the pair ``cond2(m)``, ``blockqr.loss_of_orthogonality(m)``:
+    the loss is the largest |eigenvalue| of E, and where cond2 would take
+    its Gram path on the same E, its result comes from the same
+    eigenvalues. Otherwise (wide m, or E past GRAM_PATH_RADIUS) the
+    condition number is a full ``cond2`` call. Meant for an orthonormal
+    basis, whose two measurements share their spectrum.
+    """
+    a, a_max = _cond2_input(m)
+    q = _as_matrix(m)
+    e = np.eye(q.shape[1]) - q.T @ q
+    ev = np.linalg.eigvalsh(e)
+    loss = float(max(-ev[0], ev[-1]))
+    # cond2 measures a wide m through its transpose, whose E differs
+    cond = _gram_cond2(a, a_max, spectrum=(e, ev)) if a.shape == q.shape else None
+    return (cond2(m) if cond is None else cond), loss
+
+
+def frobenius_norm(m):
+    """||m||_F, with no overflow or underflow in the squared entries.
+
+    The entries are scaled by the power of two 2^-e that brings
+    max |m_ij| into [1/2, 1), summed as squares in one dot product
+    (the reduction ``np.linalg.norm`` makes) and scaled back. Powers of
+    two scale exactly, so input whose squares stay in the normal range
+    gets the bits of ``np.linalg.norm``. Empty or zero input gives 0.0.
+    """
+    x = np.asarray(m, dtype=float).ravel(order="K")
+    a_max = np.abs(x).max() if x.size else 0.0
+    if a_max == 0.0:
+        return 0.0
+    _, exponent = np.frexp(a_max)
+    x = np.ldexp(x, -exponent)
+    return float(np.ldexp(np.sqrt(x @ x), exponent))

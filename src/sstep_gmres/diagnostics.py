@@ -1,15 +1,23 @@
 """Per-iteration solver diagnostics and their CSV serialization.
 
 One record is emitted per block step. Condition-number fields are
-optional (skipped steps hold NaN) because a measurement is not free:
-``basis_condition_numbers`` makes three ``cond2`` calls and one
-``loss_of_orthogonality`` on n-row matrices with up to m columns. A
-near-orthonormal matrix (V, the modified variant's candidates) costs one
-GEMM, O(n m^2), and one m x m ``eigvalsh``; an ill-conditioned one (the
-classical variant's candidates) costs a pivoted QR, O(n m^2), then the
-inverse and the 2-norms of its m x m R factor, O(m^3). The CSV writes NaN
-as an empty field and floats with repr, so a file round-trips bit for
-bit.
+optional (skipped steps hold NaN) because a measurement is not free.
+``basis_condition_numbers`` measures three matrices with n rows and up
+to m columns:
+
+- the orthonormal basis V: one GEMM, O(n m^2), and one m x m
+  ``eigvalsh`` give both cond(V) and || I - V^T V ||_2;
+- the newest candidate block, n x s: one ``cond2``;
+- the stacked candidates B~: first ``cond2``'s Gram path, one GEMM,
+  which measures the modified variant's near-orthonormal B~. A B~ it
+  rejects (the classical variant's, in practice) is measured from a
+  ``CandidateFactor``, an append-only Householder QR of B~ that the
+  solver keeps for the restart cycle. A step only appends its new
+  columns, O(n m s), then inverts the m x m R and takes 2-norms,
+  O(m^3).
+
+The CSV writes NaN as an empty field and floats with repr, so a file
+round-trips bit for bit.
 """
 
 import io
@@ -17,11 +25,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockqr import loss_of_orthogonality
-from .dense import cond2
+from .dense import cond2, cond2_and_orthogonality_loss, gram_cond2, triangular_cond2
 
 __all__ = [
     "CSV_HEADER",
+    "CandidateFactor",
     "IterationRecord",
     "basis_condition_numbers",
     "read_csv",
@@ -55,7 +63,105 @@ _FIELDS = fields(IterationRecord)
 CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
-def basis_condition_numbers(state, valid_cols=None):
+class CandidateFactor:
+    """Append-only Householder QR of one restart cycle's stacked candidates.
+
+    B~ D = Q R with Q = H_1 ... H_m = I - Y T Y^T in compact WY form
+    (Schreiber and Van Loan, SISC 1989): the columns of Y are the
+    reflectors, T is upper triangular. D scales each column by the power
+    of two 2^-e_j that brings its largest |entry| into [1/2, 1), so no
+    squared norm over- or underflows. Householder QR commutes with
+    power-of-two column scaling bit for bit, so R D^-1 is the R of B~
+    itself, up to one common power of two that leaves cond unchanged.
+
+    ``extend`` catches the factor up on the columns committed since the
+    last call: C <- Q^T C = C - Y T^T (Y^T C), O(n m s) for s new
+    columns against m old ones, then one Householder step per new
+    column on the trailing rows. Columns already factored are never
+    re-read, so they must not change; within a cycle the solver only
+    appends (a truncation cuts the newest block, which is measured after
+    the cut). The factor reads only the candidates, never the solver's
+    V or R, so the measurement stays independent of the solver's QR.
+    Storage for as many columns as the candidate buffer holds, an n-row
+    array and two square ones, is allocated on the first ``extend``.
+    """
+
+    def __init__(self):
+        self.ncols = 0
+        self._y = self._t = self._r = self._exponents = None
+
+    @property
+    def allocated(self):
+        return self._y is not None
+
+    def extend(self, b_concat, upto):
+        """Factor columns ``ncols:upto`` of ``b_concat`` onto the factor."""
+        m = self.ncols
+        if upto < m:
+            raise ValueError(
+                "the factor is append-only: it holds %d columns, asked for %d" % (m, upto)
+            )
+        if self._y is None:
+            n, capacity = b_concat.shape
+            self._y = np.zeros((n, capacity), order="F")
+            self._t = np.zeros((capacity, capacity), order="F")
+            self._r = np.zeros((capacity, capacity), order="F")
+            self._exponents = np.zeros(capacity, dtype=int)
+        if upto == m:
+            return
+        c = b_concat[:, m:upto]
+        _, exponents = np.frexp(np.abs(c).max(axis=0))
+        self._exponents[m:upto] = exponents
+        c = np.ldexp(c, -exponents)
+        y, t = self._y, self._t
+        if m:
+            c -= y[:, :m] @ (t[:m, :m].T @ (y[:, :m].T @ c))
+        self._r[:m, m:upto] = c[:m]
+        for j in range(upto - m):
+            p = m + j
+            x = c[p:, j]
+            alpha = x[0]
+            norm = np.sqrt(x @ x)
+            y[p, p] = 1.0
+            if norm == 0.0:
+                # a column in the span of its predecessors: H_p = I
+                beta = tau = 0.0
+            else:
+                # LAPACK's dlarfg: H_p x = beta e_1 with v[0] = 1, and
+                # alpha - beta never cancels
+                beta = -np.copysign(norm, alpha)
+                tau = (beta - alpha) / beta
+                y[p + 1 :, p] = x[1:] / (alpha - beta)
+                rest = c[p:, j + 1 :]
+                if rest.shape[1]:
+                    rest -= np.outer(tau * y[p:, p], y[p:, p] @ rest)
+            self._r[:p, p] = c[:p, j]
+            self._r[p, p] = beta
+            # Q_p = Q_{p-1} H_p extends T by the column -tau T (Y^T v), tau
+            t[:p, p] = -tau * (t[:p, :p] @ (y[p:, :p].T @ y[p:, p]))
+            t[p, p] = tau
+        self.ncols = upto
+
+    def cond2(self):
+        """cond2 of the factored columns, through ``triangular_cond2``."""
+        m = self.ncols
+        e = self._exponents[:m]
+        # R of B~ 2^-max(e): the common power of two that keeps its
+        # largest column's entries below 1
+        r = np.ldexp(self._r[:m, :m], (e - e.max())[None, :])
+        return triangular_cond2(r, self._y.shape[0])
+
+
+def _candidates_cond2(b_concat, inner, factor):
+    b = b_concat[:, :inner]
+    gram = gram_cond2(b)
+    if gram is not None:
+        return gram
+    factor.extend(b_concat, inner)
+    return factor.cond2()
+
+
+def basis_condition_numbers(state, valid_cols=None, factor=None):
     """Conditioning diagnostics of the current cycle's bases.
 
     Returns (cond_B_tilde, cond_B_subblock, cond_V, ortho_loss_V): the
@@ -68,17 +174,22 @@ def basis_condition_numbers(state, valid_cols=None):
     and stays stored only to keep the triangular factor consistent, so
     it is not part of the bases the iteration actually searched. A
     slice left empty by the limit reports NaN.
+
+    ``factor`` is the cycle's ``CandidateFactor``, which a B~ off the
+    Gram path is measured from and extended with; without one, a fresh
+    factor is built for this call alone.
     """
     inner = state.inner_cols if valid_cols is None else valid_cols
-    b = state.b_concat[:, :inner]
     start = state.inner_cols - state.vr.block_widths[-1]
     sub = state.b_concat[:, start:inner]
     v = state.vr.q[:, : inner + 1]
+    cond_bt = np.nan
+    if inner:
+        cond_bt = _candidates_cond2(state.b_concat, inner, factor or CandidateFactor())
     return (
-        cond2(b) if b.shape[1] else np.nan,
+        cond_bt,
         cond2(sub) if sub.shape[1] else np.nan,
-        cond2(v),
-        loss_of_orthogonality(v),
+        *cond2_and_orthogonality_loss(v),
     )
 
 

@@ -40,8 +40,8 @@ from .basis import (
     leja_order,
 )
 from .blockqr import bcgsi_plus_step, bmgs_step
-from .dense import UNIT_ROUNDOFF, compute_givens
-from .diagnostics import IterationRecord, basis_condition_numbers
+from .dense import UNIT_ROUNDOFF, compute_givens, frobenius_norm
+from .diagnostics import CandidateFactor, IterationRecord, basis_condition_numbers
 from .sparse import CsrMatrix, _reject_complex, apply_preconditioner_inverse, spmv
 
 __all__ = [
@@ -98,9 +98,10 @@ class SolverConfig:
     ``diag_every`` gates the conditioning diagnostics: block step k of a
     cycle is measured if and only if k is a multiple of it, so a value
     above the run's step count switches them off. A measurement on m
-    basis columns costs O(n m^2), plus O(m^3) for the inverse and the
-    2-norms of an m x m triangular factor on the classical variant's
-    candidates (see ``diagnostics``).
+    basis columns costs O(n m^2) for the basis V; the classical
+    variant's candidates cost O(n m s) for the columns appended since
+    the last measurement, plus O(m^3) for the inverse and the 2-norms of
+    an m x m triangular factor (see ``diagnostics``).
 
     ``basis_operator`` chooses the operator the classical variant builds
     its polynomial blocks with: ``plain`` is A, ``preconditioned`` is
@@ -251,7 +252,7 @@ def _system_operators(a):
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return (lambda x: m @ x), float(np.linalg.norm(m)), m.shape[0]
+    return (lambda x: m @ x), frobenius_norm(m), m.shape[0]
 
 
 def _resolve_basis(config, ritz_op, r, s):
@@ -356,6 +357,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             # the initial residual and are reused across restart cycles
             basis = _resolve_basis(config, ritz_op, r, config.s)
         state = ArnoldiState(n, max_inner)
+        # the cycle's B~ factor; it allocates on its first measurement
+        factor = CandidateFactor()
         ls = _LeastSquares(max_inner, beta=state.seed(r, orth_step))
         outer = 0
         x_start = x
@@ -407,7 +410,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 # so the measured bases end at the last fully valid one
                 valid = broke_at - 1 if broke_at is not None else None
                 cond_bt, cond_bs, cond_v, loss_v = basis_condition_numbers(
-                    state, valid_cols=valid
+                    state, valid_cols=valid, factor=factor
                 )
             else:
                 cond_bt = cond_bs = cond_v = loss_v = np.nan

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import householder_qr
+from .dense import frobenius_norm, householder_qr
 
 __all__ = [
     "CsrMatrix",
@@ -92,7 +92,7 @@ class CsrMatrix:
         return d
 
     def frobenius_norm(self):
-        return float(np.linalg.norm(self.values))
+        return frobenius_norm(self.values)
 
 
 def csr_from_coo(n, rows, cols, vals):

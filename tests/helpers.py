@@ -1,10 +1,14 @@
-"""Shared test utilities: seeded matrix builders and subspace comparison.
+"""Shared test utilities: seeded matrix builders, subspace comparison and
+a condition-number reference.
 
-Deliberately built on numpy.linalg (not on the package under test) so the
-checks stay independent of the code they verify.
+Deliberately built on numpy.linalg and scipy's LAPACK (not on the package
+under test) so the checks stay independent of the code they verify.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def rng(seed):
@@ -84,3 +88,36 @@ def max_principal_angle(x, y):
     a = np.linalg.norm(qy - qx @ (qx.T @ qy), 2)
     b = np.linalg.norm(qx - qy @ (qy.T @ qx), 2)
     return float(max(a, b))
+
+
+def dgejsv_cond(m):
+    """sigma_max / sigma_min of m from LAPACK's dgejsv.
+
+    dgejsv is the preconditioned one-sided Jacobi SVD of Drmac and
+    Veselic (SIMAX 2008), run here with JOBA = 'C' (no singular value is
+    treated as noise and zeroed) and no singular vectors. Wide input is
+    transposed. Returns inf only for exact rank loss.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    sva, _, _, _, _, info = dgejsv(a, joba=0, jobu=3, jobv=3)
+    assert info == 0, "dgejsv failed with info %d" % info
+    return np.inf if sva[-1] == 0.0 else float(sva[0] / sva[-1])
+
+
+def assert_cond_within_u_kappa(m, got, c):
+    """A measured cond2 of m within c u kappa (relative) of ``dgejsv_cond``.
+
+    kappa is the reference value. A finite result must satisfy
+    |got / kappa - 1| <= c u kappa. An inf result, the noise-floor
+    report, is right when a value within that tolerance of kappa can
+    reach the floor 1 / (4 sqrt(rows) u) that cond2 reports as inf.
+    """
+    rows = max(np.shape(m))
+    kappa = dgejsv_cond(m)
+    tol = c * UNIT_ROUNDOFF * kappa
+    if np.isinf(got):
+        assert kappa * (1.0 + tol) >= 1.0 / (4.0 * np.sqrt(rows) * UNIT_ROUNDOFF), kappa
+    else:
+        assert abs(got / kappa - 1.0) <= tol, (got, kappa, abs(got / kappa - 1.0) / tol)

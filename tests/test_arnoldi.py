@@ -15,8 +15,8 @@ from sstep_gmres.arnoldi import (
 )
 from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step, loss_of_orthogonality
-from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, householder_qr
-from sstep_gmres.diagnostics import basis_condition_numbers
+from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, gram_cond2, householder_qr
+from sstep_gmres.diagnostics import CandidateFactor, basis_condition_numbers
 from sstep_gmres.solver import SolverConfig, _resolve_basis
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
@@ -475,10 +475,16 @@ class TestBreakdownHandling:
         assert resid <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(ab)
 
         # the newest block that the diagnostics measure is the trailing
-        # widths[-1] columns of the kept candidates
+        # widths[-1] columns of the kept candidates, and B~ is all of
+        # them: the Gram path, else a factor of exactly those columns
         b_cols = state.b_columns()
         cond_bt, cond_bs, _, _ = basis_condition_numbers(state)
-        assert cond_bt == cond2(b_cols)
+        want_bt = gram_cond2(b_cols)
+        if want_bt is None:
+            factor = CandidateFactor()
+            factor.extend(b_cols, k)
+            want_bt = factor.cond2()
+        assert cond_bt == want_bt
         assert cond_bs == cond2(b_cols[:, k - widths[-1] :])
 
     def test_truncate_validation(self):

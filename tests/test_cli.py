@@ -296,6 +296,17 @@ class TestInfoCommand:
         assert got["frobenius_norm"] == "0.0"
         assert got["cond2"] == "inf"
 
+    def test_frobenius_norm_near_the_float_limit(self, capsys, tmp_path):
+        # sqrt(2) * 1e308 is representable, though its square is not
+        path = tmp_path / "big.mtx"
+        lines = ["%%MatrixMarket matrix coordinate real general", "2 2 2"]
+        path.write_text("\n".join(lines + ["1 1 1e308", "2 2 1e308"]) + "\n")
+        code, out, err = run(capsys, "info", "--matrix", str(path))
+        assert code == 0 and err == ""
+        got = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert float(got["frobenius_norm"]) == np.sqrt(2.0) * 1e308
+        assert float(got["cond2"]) == 1.0
+
     def test_cond2_skipped_above_dense_limit(self, capsys, tmp_path):
         # a dense cond2 at n = 800 takes the better part of a minute, so
         # info stops measuring past n = 500

@@ -225,6 +225,20 @@ class TestCsr:
         assert np.array_equal(d, np.diag(a.to_dense()))
 
 
+    def test_frobenius_norm_is_scale_safe(self):
+        # 1e300^2 overflows and 1e-300^2 underflows; the norm does neither
+        vals = np.array([3.0, -4.0, 12.0])
+        for scale in (1e300, 1e-300, 2.0**-1070):
+            a = CsrMatrix(3, [0, 1, 2, 3], [0, 1, 2], vals * scale)
+            assert a.frobenius_norm() == pytest.approx(13.0 * scale, rel=1e-15)
+
+    def test_frobenius_norm_bits_match_numpy_in_range(self):
+        a = csr_from_dense(rng(60).standard_normal((40, 40)))
+        assert a.frobenius_norm() == float(np.linalg.norm(a.values))
+        empty = CsrMatrix(2, [0, 0, 0], [], [])
+        assert empty.frobenius_norm() == 0.0
+
+
 class TestSpmv:
     def test_against_dense_oracle(self):
         for seed in range(10):
