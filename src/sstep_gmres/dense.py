@@ -287,21 +287,20 @@ def gram_cond2(m):
     return _gram_cond2(*_cond2_input(m))
 
 
-def triangular_cond2(r, rows, graded=False):
+def triangular_cond2(r, rows):
     """cond2 of a rows x k matrix from its k x k triangular R factor.
 
     The rounding-noise floor is 4 * sqrt(rows) * u: a diagonal entry at
     or below it relative to the largest diagonal entry reports inf, since
     sigma_min <= min |r_kk| and sigma_max >= max |r_kk| for a triangular
-    R. A column-pivoted R is ``graded``, and its largest diagonal entry
-    is |r_11|. Otherwise sigma_max = ||R||_2 and
+    R. Otherwise sigma_max = ||R||_2 and
     sigma_min = 1 / ||R^{-1}||_2; an R^{-1} that overflows, or a ratio
     at or below the floor, reports inf. See ``cond2`` for the accuracy
     of this route.
     """
     ratio = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF
     diag = np.abs(np.diag(r))
-    if diag.min() <= ratio * (diag[0] if graded else diag.max()):
+    if diag.min() <= ratio * diag.max():
         return np.inf
     # r is upper triangular with a nonzero diagonal, so LU with partial
     # pivoting keeps L = I and U = r: this is back substitution against I.
@@ -344,9 +343,9 @@ def cond2(m):
       (``triangular_cond2``). The scaling is exact unless it makes
       entries subnormal, so the result does not depend on the input's
       scale. R settles most rank losses by itself: R is triangular, so
-      sigma_min <= min |r_kk| and sigma_max >= |r_11|, and a diagonal
-      entry at or below the floor relative to |r_11| puts sigma_min at
-      or below it too. Otherwise R is inverted. Triangular inversion is
+      sigma_min <= min |r_kk| and sigma_max >= max |r_kk| (|r_11|, as R
+      is pivoted), and a diagonal entry at or below the floor relative
+      to the largest puts sigma_min at or below it too. Otherwise R is inverted. Triangular inversion is
       componentwise backward stable (Higham, Accuracy and Stability of
       Numerical Algorithms, section 8): the computed R^{-1} is the exact
       inverse of R + dR with |dR| <= c(cols) * u * |R|. A componentwise
@@ -364,7 +363,7 @@ def cond2(m):
     # squared column norms of the scaled input neither under- nor overflow
     _, exponent = np.frexp(a_max)
     r = _qrcp_r(np.ldexp(a, -exponent))
-    return triangular_cond2(r, a.shape[0], graded=True)
+    return triangular_cond2(r, a.shape[0])
 
 
 def cond2_and_orthogonality_loss(m):

@@ -9,12 +9,14 @@ to m columns:
   ``eigvalsh`` give both cond(V) and || I - V^T V ||_2;
 - the newest candidate block, n x s: one ``cond2``;
 - the stacked candidates B~: first ``cond2``'s Gram path, one GEMM,
-  which measures the modified variant's near-orthonormal B~. A B~ it
-  rejects (the classical variant's, in practice) is measured from a
-  ``CandidateFactor``, an append-only Householder QR of B~ that the
-  solver keeps for the restart cycle. A step only appends its new
-  columns, O(n m s), then inverts the m x m R and takes 2-norms,
-  O(m^3).
+  O(n m^2), which measures the modified variant's near-orthonormal B~.
+  A B~ it rejects (the classical variant's, in practice) is measured
+  from a ``CandidateFactor``, an append-only Householder QR of B~ that
+  the solver keeps for the restart cycle. That first rejection pays
+  the Gram attempt, O(n m^2) plus at most one m x m ``eigvalsh``, and
+  factors the columns so far. Every later step of the cycle skips the
+  Gram attempt, appends only its new columns, O(n m s), then inverts
+  the m x m R and takes 2-norms, O(m^3).
 
 The CSV writes NaN as an empty field and floats with repr, so a file
 round-trips bit for bit.
@@ -116,7 +118,6 @@ class CandidateFactor:
         y, t = self._y, self._t
         if m:
             c -= y[:, :m] @ (t[:m, :m].T @ (y[:, :m].T @ c))
-        self._r[:m, m:upto] = c[:m]
         for j in range(upto - m):
             p = m + j
             x = c[p:, j]
@@ -153,15 +154,20 @@ class CandidateFactor:
 
 
 def _candidates_cond2(b_concat, inner, factor):
-    b = b_concat[:, :inner]
-    gram = gram_cond2(b)
-    if gram is not None:
-        return gram
+    # Once the Gram path has rejected a prefix of B~, it rejects every
+    # longer one in exact arithmetic: the prefix's E = I - B~^T B~ is a
+    # leading principal submatrix of the longer one's, so its entries
+    # recur and its eigenvalues interlace. A cycle whose factor holds
+    # columns therefore skips the Gram attempt and its O(n m^2) GEMM.
+    if not factor.ncols:
+        gram = gram_cond2(b_concat[:, :inner])
+        if gram is not None:
+            return gram
     factor.extend(b_concat, inner)
     return factor.cond2()
 
 
-def basis_condition_numbers(state, valid_cols=None, factor=None):
+def basis_condition_numbers(state, factor, valid_cols=None):
     """Conditioning diagnostics of the current cycle's bases.
 
     Returns (cond_B_tilde, cond_B_subblock, cond_V, ortho_loss_V): the
@@ -175,9 +181,13 @@ def basis_condition_numbers(state, valid_cols=None, factor=None):
     it is not part of the bases the iteration actually searched. A
     slice left empty by the limit reports NaN.
 
-    ``factor`` is the cycle's ``CandidateFactor``, which a B~ off the
-    Gram path is measured from and extended with; without one, a fresh
-    factor is built for this call alone.
+    ``factor`` is the cycle's ``CandidateFactor``. A B~ off the Gram
+    path is measured from it and extends it, and so is every later B~
+    of the cycle. Its value then depends, at the rounding level
+    (about u * cond), on which steps were measured: the factor takes the
+    columns in the chunks that ``diag_every`` sets, and a chunk of
+    columns rounds differently from the same columns added one block at
+    a time. Identical settings give identical bits.
     """
     inner = state.inner_cols if valid_cols is None else valid_cols
     start = state.inner_cols - state.vr.block_widths[-1]
@@ -185,7 +195,7 @@ def basis_condition_numbers(state, valid_cols=None, factor=None):
     v = state.vr.q[:, : inner + 1]
     cond_bt = np.nan
     if inner:
-        cond_bt = _candidates_cond2(state.b_concat, inner, factor or CandidateFactor())
+        cond_bt = _candidates_cond2(state.b_concat, inner, factor)
     return (
         cond_bt,
         cond2(sub) if sub.shape[1] else np.nan,

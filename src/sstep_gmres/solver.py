@@ -410,7 +410,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 # so the measured bases end at the last fully valid one
                 valid = broke_at - 1 if broke_at is not None else None
                 cond_bt, cond_bs, cond_v, loss_v = basis_condition_numbers(
-                    state, valid_cols=valid, factor=factor
+                    state, factor, valid_cols=valid
                 )
             else:
                 cond_bt = cond_bs = cond_v = loss_v = np.nan

@@ -478,7 +478,7 @@ class TestBreakdownHandling:
         # widths[-1] columns of the kept candidates, and B~ is all of
         # them: the Gram path, else a factor of exactly those columns
         b_cols = state.b_columns()
-        cond_bt, cond_bs, _, _ = basis_condition_numbers(state)
+        cond_bt, cond_bs, _, _ = basis_condition_numbers(state, CandidateFactor())
         want_bt = gram_cond2(b_cols)
         if want_bt is None:
             factor = CandidateFactor()

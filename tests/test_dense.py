@@ -449,12 +449,12 @@ class TestCond2PivotedRPath:
         measure = solver_module.basis_condition_numbers
         slices = []
 
-        def capture(state, valid_cols=None, factor=None):
+        def capture(state, factor, valid_cols=None):
             inner = state.inner_cols if valid_cols is None else valid_cols
             start = state.inner_cols - state.vr.block_widths[-1]
             b = state.b_concat
             slices.append((b[:, :inner].copy(), b[:, start:inner].copy()))
-            return measure(state, valid_cols, factor)
+            return measure(state, factor, valid_cols)
 
         monkeypatch.setattr(solver_module, "basis_condition_numbers", capture)
         monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import sstep_gmres.solver as solver_module
-from sstep_gmres import dense
+from sstep_gmres import dense, diagnostics
 from sstep_gmres.blockqr import loss_of_orthogonality
 from sstep_gmres.dense import cond2, cond2_and_orthogonality_loss
 from sstep_gmres.diagnostics import (
@@ -198,8 +198,8 @@ class TestCandidateFactor:
         measure = solver_module.basis_condition_numbers
         factors = []  # (factor, the column counts it was extended to)
 
-        def replay(state, valid_cols=None, factor=None):
-            got = measure(state, valid_cols, factor)
+        def replay(state, factor, valid_cols=None):
+            got = measure(state, factor, valid_cols)
             seen = next((u for f, u in factors if f is factor), None)
             if seen is None:
                 seen = []
@@ -294,6 +294,23 @@ class TestCandidateFactor:
         # one newest block of at most s columns per measured step
         assert len(shapes) == len(res.records)
         assert all(rows == 120 and 1 <= cols <= 5 for rows, cols in shapes)
+
+    def test_gram_attempts_end_at_the_first_rejection(self, monkeypatch):
+        verdicts = []
+        gram = diagnostics.gram_cond2
+
+        def counted(b):
+            verdicts.append(gram(b))
+            return verdicts[-1]
+
+        monkeypatch.setattr(diagnostics, "gram_cond2", counted)
+        a, _, _ = gen_randsvd(RandSvdSpec(n=120, kappa=1e6, mode=3, seed=1))
+        cfg = SolverConfig(s=5, basis="newton", max_outer=15, diag_every=1)
+        res = solve(a, np.ones(120), config=cfg)
+        # one plain cycle: the factor measures every step after it
+        assert res.cycles == 1 and len(verdicts) < len(res.records)
+        assert verdicts[-1] is None
+        assert all(v is not None for v in verdicts[:-1])
 
 
 class TestBasisMeasures:
