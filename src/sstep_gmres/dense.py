@@ -343,13 +343,14 @@ def cond2(m):
       (``triangular_cond2``). The scaling is exact unless it makes
       entries subnormal, so the result does not depend on the input's
       scale. R settles most rank losses by itself: R is triangular, so
-      sigma_min <= min |r_kk| and sigma_max >= max |r_kk| (|r_11|, as R
-      is pivoted), and a diagonal entry at or below the floor relative
-      to the largest puts sigma_min at or below it too. Otherwise R is inverted. Triangular inversion is
-      componentwise backward stable (Higham, Accuracy and Stability of
-      Numerical Algorithms, section 8): the computed R^{-1} is the exact
-      inverse of R + dR with |dR| <= c(cols) * u * |R|. A componentwise
-      perturbation of a column-pivoted R moves its singular values by a
+      sigma_min <= min |r_kk| and sigma_max >= max |r_kk| = |r_11|,
+      and a diagonal entry at or below the floor relative to |r_11|
+      puts sigma_min at or below it too. Otherwise R is inverted.
+      Triangular inversion is componentwise backward stable (Higham,
+      Accuracy and Stability of Numerical Algorithms, section 8): the
+      computed R^{-1} is the exact inverse of R + dR with
+      |dR| <= c(cols) * u * |R|. A componentwise perturbation of a
+      column-pivoted R moves its singular values by a
       relative amount bounded through the condition of R's row-scaled
       form (Demmel and Veselic, SIMAX 1992), the same bound that governs
       one-sided Jacobi on R^T, so sigma_min keeps the relative accuracy
