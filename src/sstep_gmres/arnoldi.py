@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import build_krylov_block
 from .blockqr import QrState
-from .dense import UNIT_ROUNDOFF, householder_qr
+from .dense import UNIT_ROUNDOFF, householder_qr, project_out
 
 __all__ = [
     "ArnoldiState",
@@ -173,7 +173,7 @@ def _enforce_span_budget(state, report, attempted):
     for t in range(1, report.width):
         col = state.b_concat[:, start + t]
         own = state.vr.q[:, start : start + t + 1]
-        resid = col - own @ (own.T @ col)
+        _, resid = project_out(own, col[:, None])
         if np.linalg.norm(resid) > budget:
             truncate_after_breakdown(state, start + t)
             return replace(report, width=t)
@@ -250,8 +250,10 @@ def modified_step(state, ops, basis, s, orth_step):
     k = _candidate_block(state, ops.system_op, basis, s)
     if k.shape[1] > 1:
         prev = state.vr.q[:, : state.vr.ncols - 1]
-        y = k - prev @ (prev.T @ k)
-        y = y - prev @ (prev.T @ y)
+        # C order: the second pass's prev.T @ y rounds by y's layout
+        y = np.empty(k.shape)
+        project_out(prev, k, out=y)
+        project_out(prev, y, out=y)
         q, r = householder_qr(y)
         # judged against K before projection, so that fully projected-out
         # columns are still recognized; the seed column enters with unit

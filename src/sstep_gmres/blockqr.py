@@ -15,7 +15,7 @@ the caller to test.
 
 import numpy as np
 
-from .dense import householder_qr
+from .dense import householder_qr, project_out
 
 __all__ = [
     "QrState",
@@ -86,11 +86,9 @@ def bcgsi_plus_step(state, x):
     p = state.ncols
     q = state.q_active
 
-    s1 = q.T @ x
-    w1 = x - q @ s1
+    s1, w1 = project_out(q, x)
     u, t1 = householder_qr(w1)
-    s2 = q.T @ u
-    w2 = u - q @ s2
+    s2, w2 = project_out(q, u)
     q_new, t2 = householder_qr(w2)
 
     state._commit(p, q_new, s1 + s2 @ t1, t2 @ t1)
@@ -107,9 +105,8 @@ def bmgs_step(state, x):
     r_above = np.zeros((p, x.shape[1]))
     lo = 0
     for width in state.block_widths:
-        qk = state.q[:, lo : lo + width]
-        sk = qk.T @ x
-        x -= qk @ sk
+        # in place: each block's coefficients read x in its own layout
+        sk, _ = project_out(state.q[:, lo : lo + width], x, out=x)
         r_above[lo : lo + width] = sk
         lo += width
     q_new, r_diag = householder_qr(x)

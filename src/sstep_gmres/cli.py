@@ -47,10 +47,11 @@ EXIT_NOT_CONVERGED = 2
 DENSE_INFO_LIMIT = 500
 
 # solve applies A as an ndarray (GEMV) when it stores at least n^2 / 4
-# entries, else as CSR (spmv). The bincount spmv loses to GEMV from about
-# 5-10% density at n = 1000-3000 and is 4-8x slower at 25% (2-core x86-64
-# VM, one BLAS thread); at 25% the 8 n^2 bytes of dense storage are at
-# most 4/3 of CSR's 24 bytes per entry.
+# entries, else as CSR (spmv). The slot-major spmv loses to GEMV from
+# about 10-15% density at n = 1000-3000 and is 1.4-2.1x slower at 25%
+# (2-core x86-64 VM, one BLAS thread, best of 5). At 25% the 8 n^2 bytes
+# of dense storage are 4/5 of CSR's 40 bytes per entry: 24 for the CSR
+# arrays, 16 for the slot-major copy spmv builds on its first call.
 DENSE_FILL_DENOMINATOR = 4
 
 

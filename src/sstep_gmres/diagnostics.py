@@ -27,7 +27,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dense import cond2, cond2_and_orthogonality_loss, gram_cond2, triangular_cond2
+from .dense import (
+    cond2,
+    cond2_and_orthogonality_loss,
+    gram_cond2,
+    project_out,
+    triangular_cond2,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -117,7 +123,7 @@ class CandidateFactor:
         c = np.ldexp(c, -exponents)
         y, t = self._y, self._t
         if m:
-            c -= y[:, :m] @ (t[:m, :m].T @ (y[:, :m].T @ c))
+            project_out(y[:, :m], c, t[:m, :m].T, out=c)
         for j in range(upto - m):
             p = m + j
             x = c[p:, j]

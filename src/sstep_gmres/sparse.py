@@ -1,6 +1,7 @@
 """Sparse CSR storage, Matrix Market I/O, preconditioners, and synthetic
 test-matrix generation with prescribed singular spectra."""
 
+import functools
 import io
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ class CsrMatrix:
     Rows are stored with strictly increasing column indices; values are
     finite. Construction validates the structure once so every consumer
     can rely on it, and stores ``row_idx``, the row of each stored entry.
+    ``slot_layout``, the storage ``spmv`` reads, is built on first use.
     """
 
     n: int
@@ -93,6 +95,60 @@ class CsrMatrix:
 
     def frobenius_norm(self):
         return frobenius_norm(self.values)
+
+    @functools.cached_property
+    def slot_layout(self):
+        return SlotLayout.of(self)
+
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """Slot-major ("jagged diagonal", Saad, SISC 1989) copy of a CSR matrix.
+
+    Rows are taken longest first; ``position[i]`` is the place of row i
+    in that order. Slot j holds the j-th stored entry of every row
+    longer than j. Those rows are a prefix of the order, so
+    ``slots[j]`` = (columns, values) lists them by position. A slot is
+    kept only while it covers at least half of the nonempty rows, so
+    there are at most 2 nnz / (nonempty rows) of them. The entries of
+    the rows that are longer still form the tail, in CSR order:
+    ``tail_cols``, ``tail_vals``, and ``tail_bins``, their rows'
+    positions, led by the positions 0, 1, ... of those rows once each
+    (the bins of their partial sums). Indices are ``intp``, which
+    ``take`` reads fastest.
+    """
+
+    position: np.ndarray
+    slots: tuple
+    tail_bins: np.ndarray
+    tail_cols: np.ndarray
+    tail_vals: np.ndarray
+
+    @classmethod
+    def of(cls, a):
+        lengths = np.diff(a.row_ptr)
+        order = np.argsort(-lengths, kind="stable")
+        position = np.empty(a.n, dtype=np.intp)
+        position[order] = np.arange(a.n)
+        lengths = lengths[order]
+        starts = a.row_ptr[:-1][order]
+        longest = int(lengths[0])
+        # covers[j]: the number of rows longer than j
+        covers = np.searchsorted(-lengths, -np.arange(longest + 1), side="left")
+        kept = int(np.count_nonzero(2 * covers[:longest] >= covers[0]))
+        slots = []
+        for j in range(kept):
+            entries = starts[: covers[j]] + j
+            slots.append((a.col_idx[entries].astype(np.intp), a.values[entries]))
+        tail = np.flatnonzero(np.arange(a.nnz) - a.row_ptr[a.row_idx] >= kept)
+        heads = np.arange(covers[kept], dtype=np.intp)
+        return cls(
+            position=position,
+            slots=tuple(slots),
+            tail_bins=np.concatenate([heads, position[a.row_idx[tail]]]),
+            tail_cols=a.col_idx[tail].astype(np.intp),
+            tail_vals=a.values[tail],
+        )
 
 
 def csr_from_coo(n, rows, cols, vals):
@@ -299,15 +355,38 @@ def write_matrix_market(a, sink):
 
 
 def spmv(a, x):
-    """y = A x with plain left-to-right accumulation within each row."""
+    """y = A x with plain left-to-right accumulation within each row.
+
+    Every row's sum starts from 0.0 and adds the products of its stored
+    entries in column order, one rounding each, so the bits of y are
+    those of the row-by-row loop (up to which NaN a NaN entry is: IEEE
+    754 leaves open which of two NaN operands a sum returns). The
+    products are taken slot by slot
+    through ``a.slot_layout``: y[:len_j] += vals_j * x[cols_j] for slot
+    j = 0, 1, ... on the rows sorted longest first, then one
+    ``bincount`` for the tail. It adds, per row, the partial sum first
+    and the remaining products after it, in column order. Starting that
+    from 0.0 changes nothing: 0.0 + p = p exactly, and a sum that
+    starts at +0.0 is never -0.0. One ``take`` then puts the rows back
+    in their order. No BLAS call is made, so the result does not depend
+    on the BLAS thread count.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (a.n,):
         raise ValueError("vector length %r does not match n=%d" % (x.shape, a.n))
-    if a.nnz == 0:
-        return np.zeros(a.n)  # bincount of no weights would return integers
-    # bincount adds the weights in index order, starting from 0.0, and the
-    # entries of a row are stored in column order
-    return np.bincount(a.row_idx, weights=a.values * x[a.col_idx], minlength=a.n)
+    layout = a.slot_layout
+    y = np.zeros(a.n)
+    for cols, vals in layout.slots:
+        products = x.take(cols)
+        products *= vals
+        y[: cols.size] += products
+    if layout.tail_vals.size:
+        heads = layout.tail_bins.size - layout.tail_vals.size
+        products = x.take(layout.tail_cols)
+        products *= layout.tail_vals
+        weights = np.concatenate([y[:heads], products])
+        y[:heads] = np.bincount(layout.tail_bins, weights=weights)
+    return y.take(layout.position)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from sstep_gmres.dense import (
     frobenius_norm,
     householder_qr,
     jacobi_svd_values,
+    project_out,
     _round_robin_schedule,
 )
 from sstep_gmres.solver import SolverConfig, solve
@@ -489,3 +490,49 @@ class TestFrobeniusNorm:
     @pytest.mark.parametrize("m", [np.zeros((0, 3)), np.zeros((2, 2)), np.array([-0.0])])
     def test_zero_is_zero(self, m):
         assert frobenius_norm(m) == 0.0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestProjectOut:
+    @pytest.mark.parametrize("n", [1, 7, 300, 16384])
+    @pytest.mark.parametrize("p", [0, 1, 5, 61, 150])
+    def test_bits_match_the_inline_expression(self, n, p):
+        g = rng(n + p)
+        # a column slice of a wider Fortran array, like the solver's basis
+        q = np.asfortranarray(g.standard_normal((n, p + 2)))[:, 1 : p + 1]
+        for width in range(1, 17):
+            for order in "CF":
+                x = np.array(g.standard_normal((n, width)), order=order)
+                s, got = project_out(q, x)
+                assert same_bits(s, q.T @ x)
+                assert same_bits(got, x - q @ (q.T @ x))
+                assert got.flags.f_contiguous
+
+    def test_empty_basis_returns_x(self):
+        x = np.array([[1.5, -0.0], [np.inf, 2.0]])
+        s, got = project_out(np.zeros((2, 0), order="F"), x)
+        assert s.shape == (0, 2)
+        assert same_bits(got, x)
+
+    def test_middle_factor(self):
+        g = rng(3)
+        y = np.asfortranarray(g.standard_normal((50, 6)))
+        t = np.triu(g.standard_normal((6, 6)))
+        c = np.asfortranarray(g.standard_normal((50, 3)))
+        s, got = project_out(y, c, t.T)
+        assert same_bits(s, t.T @ (y.T @ c))
+        assert same_bits(got, c - y @ (t.T @ (y.T @ c)))
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_in_place_keeps_the_layout(self, order):
+        g = rng(4)
+        q = np.asfortranarray(g.standard_normal((40, 5)))
+        x = np.array(g.standard_normal((40, 3)), order=order)
+        expect = x - q @ (q.T @ x)
+        _, got = project_out(q, x, out=x)
+        assert got is x
+        assert same_bits(x, expect)
+        assert x.flags.c_contiguous == (order == "C")

@@ -21,7 +21,7 @@ from sstep_gmres.sparse import (
     write_matrix_market,
 )
 
-from helpers import rng
+from helpers import rng, stencil_coo
 
 
 def mm(text):
@@ -239,6 +239,31 @@ class TestCsr:
         assert empty.frobenius_norm() == 0.0
 
 
+def row_by_row(a, x):
+    """Each row summed left to right from 0.0, one rounding per term."""
+    expect = np.zeros(a.n)
+    for i in range(a.n):
+        acc = 0.0
+        for k in range(a.row_ptr[i], a.row_ptr[i + 1]):
+            acc += a.values[k] * x[a.col_idx[k]]
+        expect[i] = acc
+    return expect
+
+
+def assert_same_bits(got, expect):
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def stencil_with_dense_row(m, g):
+    """stencil_coo(m) with its middle row replaced by a full one."""
+    n, rows, cols, vals = stencil_coo(m)
+    keep = rows != n // 2
+    rows = np.concatenate([rows[keep], np.full(n, n // 2)])
+    cols = np.concatenate([cols[keep], np.arange(n)])
+    vals = np.concatenate([vals[keep], g.standard_normal(n)])
+    return csr_from_coo(n, rows, cols, vals)
+
+
 class TestSpmv:
     def test_against_dense_oracle(self):
         for seed in range(10):
@@ -274,16 +299,67 @@ class TestSpmv:
         vals = g.standard_normal(rows.size) * 10.0 ** g.integers(-8, 8, rows.size)
         a = csr_from_coo(n, rows, cols, vals)
         x = g.standard_normal(n)
-        expect = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for k in range(a.row_ptr[i], a.row_ptr[i + 1]):
-                acc += a.values[k] * x[a.col_idx[k]]
-            expect[i] = acc
         got = spmv(a, x)
         assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert_same_bits(got, row_by_row(a, x))
         assert np.all(got[3::7] == 0.0)
+
+    def test_bitwise_with_a_dense_row_in_the_tail(self):
+        g = rng(78)
+        a = stencil_with_dense_row(24, g)
+        assert a.slot_layout.tail_vals.size > 0
+        x = g.standard_normal(a.n)
+        assert_same_bits(spmv(a, x), row_by_row(a, x))
+
+    def test_bitwise_with_signed_zero_products(self):
+        g = rng(79)
+        a = stencil_with_dense_row(6, g)
+        # -0.0 in x gives products of both signs, and rows whose products
+        # all vanish
+        x = np.where(g.random(a.n) < 0.7, -0.0, 0.0)
+        x[::5] = g.standard_normal(x[::5].size)
+        got = spmv(a, x)
+        assert_same_bits(got, row_by_row(a, x))
+        assert not np.any(np.signbit(got[got == 0.0]))
+
+    def test_inf_and_nan_in_x(self):
+        g = rng(80)
+        a = stencil_with_dense_row(6, g)
+        x = g.standard_normal(a.n)
+        x[::7] = np.inf
+        x[3::11] = -np.inf
+        x[5::13] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = spmv(a, x)
+            expect = row_by_row(a, x)
+        # IEEE 754 leaves open which NaN an operation on two NaNs returns,
+        # so NaN entries compare as NaN and every other entry bit for bit
+        nan = np.isnan(expect)
+        assert nan.any() and np.isinf(expect).any()
+        assert np.array_equal(np.isnan(got), nan)
+        assert_same_bits(got[~nan], expect[~nan])
+
+    def test_one_by_one(self):
+        a = csr_from_dense(np.array([[-2.5]]))
+        assert_same_bits(spmv(a, np.array([3.0])), np.array([-7.5]))
+
+    def test_layout_is_built_on_first_use_and_reused(self):
+        g = rng(81)
+        a = stencil_with_dense_row(8, g)
+        assert "slot_layout" not in vars(a)
+        x = g.standard_normal(a.n)
+        first = spmv(a, x)
+        layout = a.slot_layout
+        for _ in range(3):
+            assert_same_bits(spmv(a, x), first)
+        assert a.slot_layout is layout
+        assert_same_bits(spmv(a, 2.0 * x), row_by_row(a, 2.0 * x))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 24])
+    def test_slot_passes_bounded_by_mean_row_length(self, m):
+        a = stencil_with_dense_row(m, rng(82))
+        nonempty = np.count_nonzero(np.diff(a.row_ptr))
+        assert len(a.slot_layout.slots) <= 2 * a.nnz / nonempty
 
     def test_no_stored_entries(self):
         a = CsrMatrix(4, np.zeros(5, dtype=np.int64), [], [])
