@@ -75,7 +75,7 @@ class StepReport:
 
 
 class ArnoldiState:
-    """Basis, triangular factor, and per-step blocks of one restart cycle.
+    """Basis, triangular factor, and per-step blocks of a restart cycle.
 
     ``vr`` holds [r | W_1 | ... ] = V R; ``b_concat`` the candidate blocks
     B_k, which span the solution update and feed the conditioning
@@ -83,6 +83,13 @@ class ArnoldiState:
     entered the QR (the rank test scales against their running sum).
     The block layout is ``vr.block_widths``: the seed column's block of
     width 1, then one entry per committed step.
+
+    ``solve`` keeps one state per solve and calls ``reset`` before it
+    seeds each cycle, so a restart never holds two bases at once. The
+    reuse rests on one invariant: ``vr.ncols`` bounds every read of
+    ``vr.q``, and ``inner_cols`` every read of ``b_concat`` and
+    ``w_colnorm2``, so whatever the previous cycle left past those
+    bounds is never seen. Only ``vr.r`` is zeroed (see ``QrState``).
     """
 
     def __init__(self, n, max_inner):
@@ -104,6 +111,10 @@ class ArnoldiState:
     def inner_cols(self):
         """Candidate columns committed so far: every basis column but the seed."""
         return max(self.vr.ncols - 1, 0)
+
+    def reset(self):
+        """Empty the state for a new cycle, keeping its storage."""
+        self.vr.reset()
 
     def seed(self, r, orth_step):
         """Install the start residual as the first basis column.
@@ -270,7 +281,8 @@ def truncate_after_breakdown(state, keep_inner):
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
     so [r | W] = V R still holds on the retained slice) and trims the
     block widths to match; the candidate and W-norm buffers need no
-    trim, since ``inner_cols`` bounds every read of them. Used by
+    trim, by the invariant ``ArnoldiState.reset`` relies on too:
+    ``inner_cols`` bounds every read of them. Used by
     ``solve`` right before the solution assembly of a cycle that hit a
     rank-deficient column, and by the modified step's span-budget cut.
     """

@@ -34,6 +34,15 @@ class QrState:
     of the block layout. Capacity may exceed the row count: columns past
     the rank of the appended data are committed with a small R diagonal
     entry rather than rejected up front.
+
+    The solver keeps one state per solve and ``reset``s it at every
+    restart. That relies on every read of ``q`` being bounded by
+    ``ncols``, so the previous cycle's columns past it are never seen
+    and need no clearing. ``r`` is different: a commit writes its
+    block's columns down to the foot of the diagonal block, never below,
+    yet ``r_active`` reads those entries as the factor's zeros. A previous
+    cycle's wider block can have left -0.0 there (a sign-flipped row of
+    its QR), so ``reset`` zeroes ``r``.
     """
 
     def __init__(self, n, max_cols):
@@ -45,6 +54,12 @@ class QrState:
         self.r = np.zeros((max_cols, max_cols), order="F")
         self.ncols = 0
         self.block_widths = []
+
+    def reset(self):
+        """Empty the factorization for a new cycle; ``q`` is left as it is."""
+        self.ncols = 0
+        self.block_widths = []
+        self.r.fill(0.0)
 
     @property
     def q_active(self):

@@ -76,9 +76,12 @@ def householder_qr(m):
     if rows < cols:
         raise ValueError("householder_qr needs rows >= cols, got %d x %d" % (rows, cols))
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q *= d
-    r *= d[:, None]
+    # only the flipped columns and rows are touched; ``*= -1.0`` rather
+    # than np.negative(v, out=v), which numpy 2.4.6 miscomputes on a
+    # column view with a 64-byte stride
+    for j in np.flatnonzero(np.diag(r) < 0.0):
+        q[:, j] *= -1.0
+        r[j] *= -1.0
     return q, r
 
 

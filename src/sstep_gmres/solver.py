@@ -187,6 +187,7 @@ class _LeastSquares:
     Columns of H arrive a block at a time; each gets the accumulated
     rotations, then one fresh rotation zeroing its subdiagonal entry.
     |g[p]| is then the exact residual norm of the p-column problem.
+    ``rotations[i]`` is the (c, s) pair of the rotation on rows i, i + 1.
     """
 
     def __init__(self, capacity, beta):
@@ -200,27 +201,32 @@ class _LeastSquares:
         """Absorb the next ``h.shape[1]`` columns of H.
 
         Column i of ``h`` holds H's column c = ncols + i in its first
-        c + 2 rows; rows below are ignored. Each earlier rotation acts on
-        a 2 x w row slice of the block and each fresh one on the block's
-        later columns, so every entry sees the same rotations in the same
-        order as when the columns arrive one at a time.
+        c + 2 rows; rows below are ignored. The columns are rotated one
+        at a time on Python floats, each by every earlier rotation in
+        order and then by its fresh one, with the expressions of
+        ``GivensRotation.apply`` (no fused multiply-add), so the bits are
+        those of one column arriving at a time. One numpy call per
+        rotation and block cost more than the arithmetic itself.
         """
         c0 = self.ncols
         width = h.shape[1]
-        block = np.zeros((self.t.shape[0], width))
-        rows = min(h.shape[0], c0 + width + 1)
-        block[:rows] = np.triu(h[:rows], -(c0 + 1))
-        for rot in self.rotations:
-            i = rot.row
-            block[i], block[i + 1] = rot.apply(block[i], block[i + 1])
-        for j in range(width):
-            c = c0 + j
-            rot = compute_givens(block[c, j], block[c + 1, j], row=c)
-            block[c, j:], block[c + 1, j:] = rot.apply(block[c, j:], block[c + 1, j:])
-            block[c + 1, j] = 0.0
-            self.rotations.append(rot)
-            self.g[c], self.g[c + 1] = rot.apply(self.g[c], self.g[c + 1])
-        self.t[:, c0 : c0 + width] = block
+        top = c0 + width + 1
+        cols = np.triu(h[:top], -(c0 + 1)).T.tolist()
+        for j, col in enumerate(cols):
+            # rotation i acts on rows i and i + 1; ``a`` carries the
+            # rotated row i + 1 into rotation i + 1
+            a = col[0]
+            for i, (c, s) in enumerate(self.rotations):
+                b = col[i + 1]
+                col[i] = c * a + s * b
+                a = -s * a + c * b
+            k = c0 + j
+            rot = compute_givens(a, col[k + 1])
+            col[k] = rot.c * a + rot.s * col[k + 1]
+            col[k + 1] = 0.0
+            self.rotations.append((float(rot.c), float(rot.s)))
+            self.g[k], self.g[k + 1] = rot.apply(self.g[k], self.g[k + 1])
+        self.t[:top, c0 : c0 + width] = np.array(cols).T
         self.ncols += width
 
     @property
@@ -344,6 +350,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     total_cand_proj = 0
     total_cand_qr = 0
     basis = None
+    state = ArnoldiState(n, max_inner)
 
     while status is None:
         cycle += 1
@@ -356,7 +363,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             # shifts and ellipse parameters come from one warm-up pass on
             # the initial residual and are reused across restart cycles
             basis = _resolve_basis(config, ritz_op, r, config.s)
-        state = ArnoldiState(n, max_inner)
+        state.reset()
         # the cycle's B~ factor; it allocates on its first measurement
         factor = CandidateFactor()
         ls = _LeastSquares(max_inner, beta=state.seed(r, orth_step))

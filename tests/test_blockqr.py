@@ -135,6 +135,26 @@ class TestQrState:
         np.testing.assert_array_equal(a.q_active, b.q_active)
         np.testing.assert_array_equal(a.r_active, b.r_active)
 
+    @pytest.mark.parametrize("step", [bcgsi_plus_step, bmgs_step])
+    def test_reset_state_matches_a_fresh_one(self, step):
+        # one wide block, then narrow ones: the sign flips of the wide
+        # block's QR leave -0.0 below R's diagonal where the narrow
+        # layout never writes, so only a zeroed r gives a fresh state's
+        # bits (bmgs commits that R as it is; bcgsi+'s product of two
+        # R factors writes +0.0 there)
+        state = QrState(30, 8)
+        step(state, rng(5).standard_normal((30, 8)))
+        state.reset()
+        assert (state.ncols, state.block_widths) == (0, [])
+        fresh = QrState(30, 8)
+        x = rng(6).standard_normal((30, 8))
+        for target in (state, fresh):
+            for lo in range(0, 8, 2):
+                step(target, x[:, lo : lo + 2])
+        assert state.block_widths == fresh.block_widths == [2, 2, 2, 2]
+        assert state.q_active.tobytes() == fresh.q_active.tobytes()
+        assert state.r_active.tobytes() == fresh.r_active.tobytes()
+
     def test_loss_of_orthogonality_empty(self):
         assert loss_of_orthogonality(np.zeros((5, 0))) == 0.0
 

@@ -79,6 +79,26 @@ class TestHouseholderQr:
             householder_qr(np.ones((2, 3)))
 
 
+class TestHouseholderQrSigns:
+    """The sign fix touches only the flipped columns and rows, and must
+    give the bits of scaling LAPACK's whole q and r by the signs."""
+
+    @pytest.mark.parametrize(
+        "shape,seed", [((8, 8), 1), ((8, 8), 2), ((60, 8), 3), ((4000, 5), 4), ((500, 1), 6)]
+    )
+    def test_bits_of_lapack_qr_times_signs(self, shape, seed):
+        m = rng(seed).standard_normal(shape)
+        if shape[1] == 1:
+            # LAPACK's pivot takes the opposite sign of the first entry
+            m = np.abs(m)
+        q_ref, r_ref = np.linalg.qr(m, mode="reduced")
+        d = np.where(np.diag(r_ref) < 0.0, -1.0, 1.0)
+        assert np.any(d < 0.0)
+        q, r = householder_qr(m)
+        assert q.tobytes() == (q_ref * d).tobytes()
+        assert r.tobytes() == (r_ref * d[:, None]).tobytes()
+
+
 class TestHouseholderQrContract:
     """householder_qr against scipy.linalg.qr as an independent oracle."""
 

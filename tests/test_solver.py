@@ -1,10 +1,14 @@
 """Tests for the s-step GMRES driver: least squares core, stopping
 statuses, restarts, preconditioning, and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sstep_gmres.arnoldi as arnoldi_module
 import sstep_gmres.solver as solver_module
+from sstep_gmres.arnoldi import ArnoldiState
 from sstep_gmres.diagnostics import csv_text
 from sstep_gmres.dense import UNIT_ROUNDOFF, compute_givens
 from sstep_gmres.solver import (
@@ -17,12 +21,14 @@ from sstep_gmres.solver import _LeastSquares
 from sstep_gmres.sparse import (
     Preconditioner,
     RandSvdSpec,
+    csr_from_coo,
     csr_from_dense,
     gen_randsvd,
     jacobi_preconditioner,
+    spmv,
 )
 
-from helpers import clustered_spectrum_matrix, matrix_with_cond, rng
+from helpers import clustered_spectrum_matrix, matrix_with_cond, rng, stencil_coo
 
 
 def random_hessenberg_ls(p, seed, beta=1.0):
@@ -600,3 +606,127 @@ class TestOperatorApplyCounts:
                      "inner_iterations", "candidate_projections",
                      "candidate_qr_count"):
             assert getattr(plain, name) == getattr(pre, name)
+
+
+class PoisonedState(ArnoldiState):
+    """Fills the storage a reset leaves alone with NaN, so any read past
+    ``vr.ncols`` or ``inner_cols`` shows up in the results."""
+
+    def reset(self):
+        super().reset()
+        for buf in (self.vr.q, self.b_concat, self.w_colnorm2):
+            buf.fill(np.nan)
+
+
+def clustered_problem():
+    a = csr_from_dense(clustered_spectrum_matrix(40, 0.4, seed=13))
+    return a, rng(14).standard_normal(40)
+
+
+def randsvd_problem(n, kappa, mode, seed):
+    a, _, _ = gen_randsvd(RandSvdSpec(n=n, kappa=kappa, mode=mode, seed=seed))
+    return a, np.ones(n)
+
+
+# three forced cycles each, over both variants, both orthogonalizers and
+# diagnostics on and off
+FORCED_CYCLES = dict(tol=1e-30, max_outer=3)
+POISON_CASES = [
+    dict(s=3, basis="newton", restart=9, diag_every=1, **FORCED_CYCLES),
+    dict(s=4, orth="bmgs", restart=8, diag_every=10**6, **FORCED_CYCLES),
+    dict(s=3, arnoldi="modified", restart=9, diag_every=10**6, **FORCED_CYCLES),
+    dict(s=4, arnoldi="modified", orth="bmgs", restart=12, diag_every=1,
+         **FORCED_CYCLES),
+]
+
+
+class TestRestartInPlace:
+    """``solve`` keeps one ArnoldiState per solve and resets it at every
+    restart; the previous cycle's columns must never be read again."""
+
+    def run_pair(self, monkeypatch, problem, **kwargs):
+        a, b = problem
+        config = SolverConfig(**kwargs)
+        clean = solve(a, b, config=config)
+        monkeypatch.setattr(solver_module, "ArnoldiState", PoisonedState)
+        poisoned = solve(a, b, config=config)
+        assert poisoned.x.tobytes() == clean.x.tobytes()
+        assert poisoned.status == clean.status
+        assert [repr(r) for r in poisoned.records] == [repr(r) for r in clean.records]
+        for name in RESULT_FIELDS:
+            assert getattr(poisoned, name) == getattr(clean, name), name
+        return clean
+
+    def test_one_state_serves_every_cycle(self, monkeypatch):
+        created, reset = [], []
+
+        class Recording(ArnoldiState):
+            def __init__(self, *args):
+                created.append(self)
+                super().__init__(*args)
+
+            def reset(self):
+                reset.append(self)
+                super().reset()
+
+        monkeypatch.setattr(solver_module, "ArnoldiState", Recording)
+        a, b = clustered_problem()
+        res = solve(a, b, config=SolverConfig(s=2, restart=6, tol=1e-30, max_outer=4))
+        assert res.cycles == 4
+        assert len(created) == 1
+        assert len(reset) == res.cycles
+        assert all(state is created[0] for state in reset)
+
+    @pytest.mark.parametrize("kwargs", POISON_CASES, ids=case_id)
+    def test_poisoned_reset_changes_no_bit(self, monkeypatch, kwargs):
+        res = self.run_pair(monkeypatch, clustered_problem(), **kwargs)
+        assert res.cycles == 3
+
+    def test_poisoned_reset_with_breakdown_truncation(self, monkeypatch):
+        # the second cycle ends on the rank test and its truncation
+        res = self.run_pair(
+            monkeypatch, randsvd_problem(24, 1e8, 3, 2), s=6, restart=12, diag_every=1
+        )
+        assert res.status == "key_dimension_reached"
+        assert res.cycles == 2
+
+    def test_poisoned_reset_with_span_budget_cuts(self, monkeypatch):
+        cuts = []
+        truncate = arnoldi_module.truncate_after_breakdown
+
+        def counting(state, keep_inner):
+            cuts.append(keep_inner)
+            return truncate(state, keep_inner)
+
+        # the modified step's span-budget cut is the arnoldi module's
+        # only caller of the truncation
+        monkeypatch.setattr(arnoldi_module, "truncate_after_breakdown", counting)
+        res = self.run_pair(
+            monkeypatch, randsvd_problem(64, 1e8, 3, 7),
+            s=8, arnoldi="modified", orth="bmgs", restart=24, diag_every=1,
+        )
+        assert res.cycles == 3
+        assert cuts
+
+    def test_peak_memory_is_one_state(self):
+        # s = 2 keeps the block temporaries small against the n x 61
+        # basis and n x 60 candidates; two states alive at a restart
+        # would put the peak near twice one state
+        a = csr_from_coo(*stencil_coo(64))
+        b = np.ones(a.n)
+        spmv(a, b)  # the CSR slot layout is built outside the measurement
+        config = SolverConfig(s=2, restart=60, tol=1e-30, max_outer=3, diag_every=10**6)
+        state = ArnoldiState(a.n, 60)
+        one_state = sum(
+            buf.nbytes
+            for buf in (state.vr.q, state.vr.r, state.b_concat, state.w_colnorm2)
+        )
+        del state
+        tracemalloc.start()
+        try:
+            res = solve(a, b, config=config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.cycles == 3
+        assert peak < 1.5 * one_state
