@@ -87,9 +87,11 @@ class ArnoldiState:
     ``solve`` keeps one state per solve and calls ``reset`` before it
     seeds each cycle, so a restart never holds two bases at once. The
     reuse rests on one invariant: ``vr.ncols`` bounds every read of
-    ``vr.q``, and ``inner_cols`` every read of ``b_concat`` and
-    ``w_colnorm2``, so whatever the previous cycle left past those
-    bounds is never seen. Only ``vr.r`` is zeroed (see ``QrState``).
+    ``vr.q`` and ``vr.r``, and ``inner_cols`` every read of ``b_concat``
+    and ``w_colnorm2``, so whatever an earlier cycle or a truncated block
+    left past those bounds is never seen, and nothing is cleared. It
+    holds because a commit writes its columns whole: ``vr.r``'s down to
+    the last row, with +0.0 below the diagonal block.
     """
 
     def __init__(self, n, max_inner):
@@ -280,11 +282,10 @@ def truncate_after_breakdown(state, keep_inner):
 
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
     so [r | W] = V R still holds on the retained slice) and trims the
-    block widths to match; the candidate and W-norm buffers need no
-    trim, by the invariant ``ArnoldiState.reset`` relies on too:
-    ``inner_cols`` bounds every read of them. Used by
-    ``solve`` right before the solution assembly of a cycle that hit a
-    rank-deficient column, and by the modified step's span-budget cut.
+    block widths to match; no buffer needs a trim, by the invariant
+    stated in ``ArnoldiState``. Used by ``solve`` right before the
+    solution assembly of a cycle that hit a rank-deficient column, and
+    by the modified step's span-budget cut.
     """
     if not 0 <= keep_inner <= state.inner_cols:
         raise ValueError("keep_inner out of range")

@@ -35,14 +35,9 @@ class QrState:
     the rank of the appended data are committed with a small R diagonal
     entry rather than rejected up front.
 
-    The solver keeps one state per solve and ``reset``s it at every
-    restart. That relies on every read of ``q`` being bounded by
-    ``ncols``, so the previous cycle's columns past it are never seen
-    and need no clearing. ``r`` is different: a commit writes its
-    block's columns down to the foot of the diagonal block, never below,
-    yet ``r_active`` reads those entries as the factor's zeros. A previous
-    cycle's wider block can have left -0.0 there (a sign-flipped row of
-    its QR), so ``reset`` zeroes ``r``.
+    A commit writes its columns of ``q`` and ``r`` in full, ``r`` down to
+    its last row with +0.0 below the diagonal block, so ``ncols`` bounds
+    every read and ``reset`` clears nothing (see ``ArnoldiState``).
     """
 
     def __init__(self, n, max_cols):
@@ -56,10 +51,9 @@ class QrState:
         self.block_widths = []
 
     def reset(self):
-        """Empty the factorization for a new cycle; ``q`` is left as it is."""
+        """Empty the factorization for a new cycle; the storage is left as it is."""
         self.ncols = 0
         self.block_widths = []
-        self.r.fill(0.0)
 
     @property
     def q_active(self):
@@ -84,6 +78,7 @@ class QrState:
         if start:
             self.r[:start, start : start + width] = r_above
         self.r[start : start + width, start : start + width] = r_diag
+        self.r[start + width :, start : start + width] = 0.0
         self.ncols = start + width
         self.block_widths.append(width)
 

@@ -33,13 +33,10 @@ basis: cond2 and ||I - Q^T Q||_2 from one ``eigvalsh``.
 All routines are deterministic for a fixed input on a fixed platform.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "UNIT_ROUNDOFF",
-    "GivensRotation",
     "compute_givens",
     "cond2",
     "cond2_and_orthogonality_loss",
@@ -108,28 +105,16 @@ def project_out(q, x, middle=None, out=None):
     return s, np.subtract(x, qs, out=qs if out is None else out)
 
 
-@dataclass
-class GivensRotation:
-    """Plane rotation [c s; -s c] acting on rows (row, row + 1)."""
+def compute_givens(a, b):
+    """(c, s) of the rotation [c s; -s c] that zeros b against a.
 
-    c: float
-    s: float
-    row: int = 0
-
-    def apply(self, a, b):
-        """Rotate the pair (a, b); returns (c*a + s*b, -s*a + c*b)."""
-        return self.c * a + self.s * b, -self.s * a + self.c * b
-
-
-def compute_givens(a, b, row=0):
-    """Rotation zeroing b against a; the first entry becomes hypot(a, b) >= 0.
-
-    (a, b) = (0, 0) yields the identity rotation.
+    The rotated pair is (c*a + s*b, -s*a + c*b), its first entry
+    hypot(a, b) >= 0. (a, b) = (0, 0) yields the identity (1.0, 0.0).
     """
     r = np.hypot(a, b)
     if r == 0.0:
-        return GivensRotation(1.0, 0.0, row)
-    return GivensRotation(a / r, b / r, row)
+        return 1.0, 0.0
+    return a / r, b / r
 
 
 def _qrcp_r(a):

@@ -203,10 +203,10 @@ class _LeastSquares:
         Column i of ``h`` holds H's column c = ncols + i in its first
         c + 2 rows; rows below are ignored. The columns are rotated one
         at a time on Python floats, each by every earlier rotation in
-        order and then by its fresh one, with the expressions of
-        ``GivensRotation.apply`` (no fused multiply-add), so the bits are
-        those of one column arriving at a time. One numpy call per
-        rotation and block cost more than the arithmetic itself.
+        order and then by its fresh one, as (c*a + s*b, -s*a + c*b) with
+        no fused multiply-add, so the bits are those of one column
+        arriving at a time. One numpy call per rotation and block cost
+        more than the arithmetic itself.
         """
         c0 = self.ncols
         width = h.shape[1]
@@ -221,11 +221,13 @@ class _LeastSquares:
                 col[i] = c * a + s * b
                 a = -s * a + c * b
             k = c0 + j
-            rot = compute_givens(a, col[k + 1])
-            col[k] = rot.c * a + rot.s * col[k + 1]
+            c, s = compute_givens(a, col[k + 1])
+            c, s = float(c), float(s)
+            col[k] = c * a + s * col[k + 1]
             col[k + 1] = 0.0
-            self.rotations.append((float(rot.c), float(rot.s)))
-            self.g[k], self.g[k + 1] = rot.apply(self.g[k], self.g[k + 1])
+            self.rotations.append((c, s))
+            g0, g1 = self.g[k], self.g[k + 1]
+            self.g[k], self.g[k + 1] = c * g0 + s * g1, -s * g0 + c * g1
         self.t[:top, c0 : c0 + width] = np.array(cols).T
         self.ncols += width
 

@@ -3,12 +3,31 @@ a condition-number reference.
 
 Deliberately built on numpy.linalg and scipy's LAPACK (not on the package
 under test) so the checks stay independent of the code they verify.
+The convection-diffusion stencil is the benchmark's own generator, so
+tests and benchmark run the one matrix.
 """
+
+import importlib.util
+import os
 
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 UNIT_ROUNDOFF = 2.0**-53
+
+
+def _benchmark_workloads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# stencil_coo(m): n = m^2 convection-diffusion unknowns as COO
+# (n, rows, cols, vals), wind (20, 10)
+stencil_coo = _benchmark_workloads().stencil_coo
 
 
 def rng(seed):
@@ -41,39 +60,6 @@ def clustered_spectrum_matrix(n, radius, seed):
     """
     g = rng(seed)
     return np.eye(n) + (radius / np.sqrt(n)) * g.standard_normal((n, n))
-
-
-def stencil_coo(m, wind=(20.0, 10.0)):
-    """Convection-diffusion -div(k grad u) + w . grad u, k = 1 + 9x.
-
-    Unit square, zero Dirichlet boundary, m x m interior points with mesh
-    width h = 1/(m+1); unknown (i, j) sits at x = (j+1)h, y = (i+1)h and
-    has index i*m + j. Diffusion is conservative with k at the half
-    points, the wind w is centrally differenced. Returns (n, rows, cols,
-    vals), coordinate data with no duplicate entries.
-    """
-    h = 1.0 / (m + 1)
-    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    x = (j + 1) * h
-    k = lambda t: 1.0 + 9.0 * t
-    k_east, k_west, k_mid = k(x + h / 2), k(x - h / 2), k(x)
-    wx, wy = wind
-    index = i * m + j
-    rows = [index.ravel()]
-    cols = [index.ravel()]
-    vals = [((k_east + k_west + 2.0 * k_mid) / h**2).ravel()]
-    for di, dj, coef in (
-        (0, 1, -k_east / h**2 + wx / (2 * h)),
-        (0, -1, -k_west / h**2 - wx / (2 * h)),
-        (1, 0, -k_mid / h**2 + wy / (2 * h)),
-        (-1, 0, -k_mid / h**2 - wy / (2 * h)),
-    ):
-        ii, jj = i + di, j + dj
-        inside = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
-        rows.append(index[inside])
-        cols.append(ii[inside] * m + jj[inside])
-        vals.append(coef[inside])
-    return m * m, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def max_principal_angle(x, y):

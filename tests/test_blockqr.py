@@ -138,10 +138,10 @@ class TestQrState:
     @pytest.mark.parametrize("step", [bcgsi_plus_step, bmgs_step])
     def test_reset_state_matches_a_fresh_one(self, step):
         # one wide block, then narrow ones: the sign flips of the wide
-        # block's QR leave -0.0 below R's diagonal where the narrow
-        # layout never writes, so only a zeroed r gives a fresh state's
-        # bits (bmgs commits that R as it is; bcgsi+'s product of two
-        # R factors writes +0.0 there)
+        # block's QR leave -0.0 below R's diagonal (bmgs commits that R
+        # as it is; bcgsi+'s product of two R factors writes +0.0
+        # there), and the reset keeps them; each narrow commit's +0.0
+        # below its own diagonal block gives a fresh state's bits
         state = QrState(30, 8)
         step(state, rng(5).standard_normal((30, 8)))
         state.reset()

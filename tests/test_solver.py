@@ -1,6 +1,9 @@
 """Tests for the s-step GMRES driver: least squares core, stopping
 statuses, restarts, preconditioning, and determinism."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -88,18 +91,23 @@ class TestLeastSquares:
         g_ref = np.zeros(p + 1)
         g_ref[0] = 1.5
         rotations = []
+
+        def rotate(rot, pair):
+            (c, s), (a, b) = rot, pair
+            return c * a + s * b, -s * a + c * b
+
         for c in range(p):
             col = np.zeros(p + 1)
             col[: c + 2] = h[: c + 2, c]
-            for rot in rotations:
-                i = rot.row
-                col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
-            rot = compute_givens(col[c], col[c + 1], row=c)
-            col[c], col[c + 1] = rot.apply(col[c], col[c + 1])
+            # rotation i acts on rows i and i + 1
+            for i, rot in enumerate(rotations):
+                col[i], col[i + 1] = rotate(rot, col[i : i + 2])
+            rot = compute_givens(col[c], col[c + 1])
+            col[c], col[c + 1] = rotate(rot, col[c : c + 2])
             col[c + 1] = 0.0
             rotations.append(rot)
             t_ref[:, c] = col
-            g_ref[c], g_ref[c + 1] = rot.apply(g_ref[c], g_ref[c + 1])
+            g_ref[c], g_ref[c + 1] = rotate(rot, g_ref[c : c + 2])
         # blocks of uneven widths, each handed over as a slice of H whose
         # rows below the Hessenberg band must be ignored
         full = h + np.tril(g.standard_normal((p + 1, p)), -2)
@@ -609,12 +617,12 @@ class TestOperatorApplyCounts:
 
 
 class PoisonedState(ArnoldiState):
-    """Fills the storage a reset leaves alone with NaN, so any read past
-    ``vr.ncols`` or ``inner_cols`` shows up in the results."""
+    """Fills the whole storage with NaN after each reset, so any read
+    past ``vr.ncols`` or ``inner_cols`` shows up in the results."""
 
     def reset(self):
         super().reset()
-        for buf in (self.vr.q, self.b_concat, self.w_colnorm2):
+        for buf in (self.vr.q, self.vr.r, self.b_concat, self.w_colnorm2):
             buf.fill(np.nan)
 
 
@@ -730,3 +738,40 @@ class TestRestartInPlace:
             tracemalloc.stop()
         assert res.cycles == 3
         assert peak < 1.5 * one_state
+
+
+# an unrestarted solve at n = 4096: V, R and B~ are each reserved at
+# about n^2 doubles (128 MiB), but four blocks of s = 5 commit 21 columns
+UNRESTARTED_RSS_GROWTH = """
+import resource
+import numpy as np
+from helpers import stencil_coo
+from sstep_gmres.solver import SolverConfig, solve
+from sstep_gmres.sparse import csr_from_coo, jacobi_preconditioner, spmv
+
+a = csr_from_coo(*stencil_coo(64))
+b = np.ones(a.n)
+spmv(a, b)
+prec = jacobi_preconditioner(a)
+config = SolverConfig(s=5, basis="newton", max_outer=4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = solve(a, b, config=config, preconditioner=prec)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert res.block_steps == 4, res.block_steps
+print(after - before)
+"""
+
+
+def test_unrestarted_memory_grows_with_committed_columns():
+    # a child process, so that the peak resident size is this solve's
+    # alone; Linux reports ru_maxrss in KiB
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", UNRESTARTED_RSS_GROWTH],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth_kib = int(proc.stdout)
+    assert growth_kib < 32 * 1024, growth_kib
