@@ -189,10 +189,6 @@ def _parse_randsvd(text):
     return spec
 
 
-def _dense_enough(n, nnz):
-    return DENSE_FILL_DENOMINATOR * nnz >= n * n
-
-
 def _load_problem(args):
     """Returns (A, n, right singular vectors or None).
 
@@ -202,9 +198,8 @@ def _load_problem(args):
     entry almost surely.
     """
     if args.matrix is not None:
-        mat = parse_matrix_market(args.matrix)
-        dense = _dense_enough(mat.n, mat.nnz)
-        return (mat.to_dense() if dense else mat), mat.n, None
+        mat = parse_matrix_market(args.matrix, dense_fill=DENSE_FILL_DENOMINATOR)
+        return mat, (mat.shape[0] if isinstance(mat, np.ndarray) else mat.n), None
     a, v, _ = gen_randsvd(_parse_randsvd(args.randsvd))
     return a, a.shape[0], v
 

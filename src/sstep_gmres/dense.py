@@ -5,9 +5,12 @@ reference, and a scale-safe Frobenius norm.
 The solver's rank decisions are not made here: the QR returns its
 factors, and what a small pivot means is up to the caller that reads it.
 
-The solver's QR is LAPACK's (through numpy); the pivoted QR behind the
-conditioning diagnostics stays in-package, so the measurements do not
-share a code path with what they measure.
+The solver's QR is LAPACK's dgeqrf (through numpy), with the thin Q
+formed here from its reflectors in compact WY form, one GEMM; the
+pivoted QR behind the conditioning diagnostics stays in-package, so the
+measurements do not share a code path with what they measure. The
+projection sums Q^T X over row panels of Q small enough to stay in the
+L2 cache.
 
 ``cond2`` measures in one of two ways, chosen from its input. A
 near-orthonormal matrix A, one with ||I - A^T A||_2 <= 1/2, gets its
@@ -62,42 +65,82 @@ def _as_matrix(m, name="m"):
 def householder_qr(m):
     """Thin Householder QR of m (rows >= cols) with a nonnegative R diagonal.
 
-    LAPACK dgeqrf + dorgqr through ``np.linalg.qr``, then the signs of
-    q's columns and r's rows flipped so that r[j, j] >= 0. Returns
-    (q, r): q is rows x cols with orthonormal columns, r is cols x cols
-    upper triangular, and m = q @ r. Rank is not decided here; r[j, j]
-    is the Householder pivot of column j, for the caller to test.
+    LAPACK's dgeqrf through ``np.linalg.qr(mode="raw")`` gives R and the
+    reflectors H_i = I - tau_i y_i y_i^T. Q = H_1 ... H_k is formed from
+    them in compact WY form (Schreiber and Van Loan, SISC 1989),
+    Q = E - Y T Y_1^T: E is the first k columns of the identity, Y holds
+    the unit lower trapezoidal reflectors, Y_1 is its top k x k block,
+    and T is upper triangular from dlarft's forward recurrence
+    T[:i, i] = -tau_i T[:i, :i] (Y[i:, :i]^T Y[i:, i]), T[i, i] = tau_i.
+    That is one n x k x k GEMM where LAPACK's dorgqr applies the k
+    reflectors one column at a time: at 16384 x 5, 0.37 against 0.81 ms
+    for ``np.linalg.qr(mode="reduced")`` (one thread, x86-64). The signs
+    of Q's columns and R's rows are then flipped so that r[j, j] >= 0;
+    the column signs ride in the k x k factor, so Q takes no extra pass.
+    R has the bits of ``np.linalg.qr``'s R times those signs; Q agrees
+    with its Q to rounding level.
+
+    Returns (q, r): q is rows x cols with orthonormal columns and
+    Fortran order, r is cols x cols upper triangular, and m = q @ r.
+    Rank is not decided here; r[j, j] is the Householder pivot of column
+    j, for the caller to test.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError("householder_qr needs rows >= cols, got %d x %d" % (rows, cols))
-    q, r = np.linalg.qr(a, mode="reduced")
-    # only the flipped columns and rows are touched; ``*= -1.0`` rather
-    # than np.negative(v, out=v), which numpy 2.4.6 miscomputes on a
-    # column view with a 64-byte stride
-    for j in np.flatnonzero(np.diag(r) < 0.0):
-        q[:, j] *= -1.0
-        r[j] *= -1.0
+    h, tau = np.linalg.qr(a, mode="raw")
+    # h is numpy's own copy of a, transposed: dgeqrf's output, with R on
+    # and above the diagonal and the reflectors below it
+    y = h.T
+    r = np.triu(y[:cols])
+    t = np.zeros((cols, cols))
+    for i in range(cols):
+        y[:i, i] = 0.0
+        y[i, i] = 1.0
+        t[:i, i] = -tau[i] * (t[:i, :i] @ (y[i:, :i].T @ y[i:, i]))
+        t[i, i] = tau[i]
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q = np.empty((rows, cols), order="F")
+    np.matmul(y, (t @ y[:cols].T) * -sign, out=q)
+    diag = np.arange(cols)
+    q[diag, diag] += sign
+    r *= sign[:, None]
     return q, r
+
+
+# bytes of q per panel of q^T x in ``project_out``: a panel of at most
+# 1 MiB stays in a 2 MiB L2 cache while OpenBLAS streams x past it
+PANEL_BYTES = 2**20
 
 
 def project_out(q, x, middle=None, out=None):
     """(s, x - q s) for a tall q and a 2-d x, with s = q^T x.
+
+    s is summed over row panels of q of at most ``PANEL_BYTES``, in row
+    order: q^T x over one panel, plus each following panel's product.
+    A q that no longer fits the L2 cache runs ``q.T @ x`` at 4-6 GB/s;
+    at n = 16384 and a width of 5, the panels take s from 0.37 to
+    0.15 ms at 16 columns and from 1.15 to 0.75 ms at 61 (one thread,
+    x86-64). A q of one panel, PANEL_BYTES or less, gets the bits of
+    ``q.T @ x``.
 
     With ``middle``, s = middle @ (q^T x) instead: the compact WY
     product (I - Y T^T Y^T) x is ``project_out(y, x, t.T)``. The product
     q s is written into a Fortran-ordered buffer, which OpenBLAS fills
     on its fast path: at n = 16384, 30 columns and a width of 5, in
     0.43 ms against 0.82 ms for the C-ordered array ``q @ s`` returns
-    (one thread, x86-64), with the same bits. x - q s then goes into
-    that buffer, so the result is F-contiguous, or into ``out``, which
-    may be x itself. The bits equal those of ``x - q @ (q.T @ x)``.
-    Note that q^T x itself rounds differently for C- and F-ordered x,
-    so a caller that projects its result again fixes its layout
-    through ``out``.
+    (one thread, x86-64), with the same bits there; not at every size,
+    since at n = 32771 and widths of 12 or more the two products round
+    differently. x - q s then goes into that buffer, so the result is
+    F-contiguous, or into ``out``, which may be x itself. Note that
+    q^T x itself rounds differently for C- and F-ordered x, so a caller
+    that projects its result again fixes its layout through ``out``.
     """
-    s = q.T @ x
+    panel = max(1, PANEL_BYTES // (8 * max(q.shape[1], 1)))
+    s = q[:panel].T @ x[:panel]
+    for lo in range(panel, q.shape[0], panel):
+        s += q[lo : lo + panel].T @ x[lo : lo + panel]
     if middle is not None:
         s = middle @ s
     qs = np.empty((q.shape[0], s.shape[1]), order="F")
@@ -299,29 +342,36 @@ def gram_cond2(m):
     return _gram_cond2(*_cond2_input(m))
 
 
-def triangular_cond2(r, rows):
+def triangular_cond2(r, rows, pivoted=True):
     """cond2 of a rows x k matrix from its k x k triangular R factor.
 
     The rounding-noise floor is 4 * sqrt(rows) * u: a diagonal entry at
     or below it relative to the largest diagonal entry reports inf, since
     sigma_min <= min |r_kk| and sigma_max >= max |r_kk| for a triangular
-    R. Otherwise sigma_max = ||R||_2 and
-    sigma_min = 1 / ||R^{-1}||_2; an R^{-1} that overflows, or a ratio
-    at or below the floor, reports inf. See ``cond2`` for the accuracy
-    of this route.
+    R. Otherwise, for a column-pivoted R, sigma_max = ||R||_2 and
+    sigma_min = 1 / ||R^{-1}||_2; an R^{-1} that overflows reports inf.
+    See ``cond2`` for the accuracy of this route. An unpivoted R
+    (``pivoted=False``) gets no componentwise guarantee from its inverse,
+    so both come from one ``np.linalg.svd(r, compute_uv=False)``, which
+    is normwise accurate: a relative error of order k * u * cond. Either
+    way a ratio sigma_min / sigma_max at or below the floor reports inf.
     """
     ratio = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF
     diag = np.abs(np.diag(r))
     if diag.min() <= ratio * diag.max():
         return np.inf
-    # r is upper triangular with a nonzero diagonal, so LU with partial
-    # pivoting keeps L = I and U = r: this is back substitution against I.
-    # An overflow leaves inf in r_inv; numpy raises no warning for it.
-    r_inv = np.linalg.inv(r)
-    if not np.all(np.isfinite(r_inv)):
-        return np.inf
-    sigma_max = np.linalg.norm(r, 2)
-    sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
+    if pivoted:
+        # r is upper triangular with a nonzero diagonal, so LU with partial
+        # pivoting keeps L = I and U = r: this is back substitution against
+        # I. An overflow leaves inf in r_inv; numpy raises no warning for it.
+        r_inv = np.linalg.inv(r)
+        if not np.all(np.isfinite(r_inv)):
+            return np.inf
+        sigma_max = np.linalg.norm(r, 2)
+        sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
+    else:
+        sigma = np.linalg.svd(r, compute_uv=False)
+        sigma_max, sigma_min = sigma[0], sigma[-1]
     if sigma_min <= ratio * sigma_max:
         return np.inf
     return float(sigma_max / sigma_min)

@@ -15,8 +15,8 @@ to m columns:
   the solver keeps for the restart cycle. That first rejection pays
   the Gram attempt, O(n m^2) plus at most one m x m ``eigvalsh``, and
   factors the columns so far. Every later step of the cycle skips the
-  Gram attempt, appends only its new columns, O(n m s), then inverts
-  the m x m R and takes 2-norms, O(m^3).
+  Gram attempt, appends only its new columns, O(n m s), then takes
+  sigma_max and sigma_min of the m x m R from one SVD, O(m^3).
 
 The CSV writes NaN as an empty field and floats with repr, so a file
 round-trips bit for bit.
@@ -150,13 +150,18 @@ class CandidateFactor:
         self.ncols = upto
 
     def cond2(self):
-        """cond2 of the factored columns, through ``triangular_cond2``."""
+        """cond2 of the factored columns from one SVD of their R.
+
+        ``triangular_cond2``'s unpivoted route: the same noise floor on
+        R's diagonal, then sigma_max and sigma_min of one
+        ``np.linalg.svd``.
+        """
         m = self.ncols
         e = self._exponents[:m]
         # R of B~ 2^-max(e): the common power of two that keeps its
         # largest column's entries below 1
         r = np.ldexp(self._r[:m, :m], (e - e.max())[None, :])
-        return triangular_cond2(r, self._y.shape[0])
+        return triangular_cond2(r, self._y.shape[0], pivoted=False)
 
 
 def _candidates_cond2(b_concat, inner, factor):

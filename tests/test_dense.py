@@ -78,15 +78,40 @@ class TestHouseholderQr:
             householder_qr(np.ones((2, 3)))
 
 
+def wy_thin_q(m, sign):
+    """The WY expression householder_qr documents for its q.
+
+    Q D = (E - Y (T Y_1^T)) D from the raw reflectors of LAPACK's dgeqrf:
+    Y unit lower trapezoidal, T from dlarft's forward recurrence, and
+    the signs D folded into the k x k factor, in the same operations and
+    layouts as the package, so the bits must agree.
+    """
+    h, tau = np.linalg.qr(m, mode="raw")
+    y = h.T
+    k = y.shape[1]
+    y[:k][np.triu_indices(k)] = 0.0
+    y[np.diag_indices(k)] = 1.0
+    t = np.zeros((k, k))
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ (y[i:, :i].T @ y[i:, i]))
+        t[i, i] = tau[i]
+    q = np.empty(y.shape, order="F")
+    np.matmul(y, (t @ y[:k].T) * -sign, out=q)
+    q[np.diag_indices(k)] += sign
+    return q
+
+
 class TestHouseholderQrSigns:
-    """The sign fix touches only the flipped columns and rows, and must
-    give the bits of scaling LAPACK's whole q and r by the signs."""
+    """r has the bits of LAPACK's r with its negative-pivot rows flipped;
+    q has the bits of the documented WY expression and lies within a few
+    units of roundoff of LAPACK's q times the same signs."""
 
     @pytest.mark.parametrize(
         "shape,seed", [((8, 8), 1), ((8, 8), 2), ((60, 8), 3), ((4000, 5), 4), ((500, 1), 6)]
     )
-    def test_bits_of_lapack_qr_times_signs(self, shape, seed):
-        m = rng(seed).standard_normal(shape)
+    @pytest.mark.parametrize("order", "CF")
+    def test_bits_of_lapack_r_and_the_wy_q(self, shape, seed, order):
+        m = np.array(rng(seed).standard_normal(shape), order=order)
         if shape[1] == 1:
             # LAPACK's pivot takes the opposite sign of the first entry
             m = np.abs(m)
@@ -94,8 +119,43 @@ class TestHouseholderQrSigns:
         d = np.where(np.diag(r_ref) < 0.0, -1.0, 1.0)
         assert np.any(d < 0.0)
         q, r = householder_qr(m)
-        assert q.tobytes() == (q_ref * d).tobytes()
         assert r.tobytes() == (r_ref * d[:, None]).tobytes()
+        assert q.tobytes() == wy_thin_q(m, d).tobytes()
+        # 4.6 u at most on these inputs
+        assert np.linalg.norm(q - q_ref * d, 2) <= 8.0 * UNIT_ROUNDOFF
+
+
+@st.composite
+def qr_inputs(draw):
+    """Gaussian rows x cols input, some columns zeroed or duplicated."""
+    cols = draw(st.integers(0, 16))
+    rows = draw(st.integers(max(cols, 1), 3000))
+    m = rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    for j in range(cols):
+        kind = draw(st.sampled_from(["keep", "zero", "copy"]))
+        if kind == "zero":
+            m[:, j] = 0.0
+        elif kind == "copy":
+            m[:, j] = m[:, draw(st.integers(0, cols - 1))]
+    return m
+
+
+class TestHouseholderQrProperty:
+    @given(qr_inputs())
+    def test_orthonormal_backward_stable_with_lapack_pivots(self, m):
+        rows, cols = m.shape
+        q, r = householder_qr(m)
+        assert q.shape == (rows, cols) and r.shape == (cols, cols)
+        # c cols u with c = 8 sqrt(rows): the rounding errors of the
+        # length-rows inner products add up like a random walk. LAPACK's
+        # own q reaches 2.8 cols sqrt(rows) u on such input.
+        tol = 8.0 * cols * np.sqrt(rows) * UNIT_ROUNDOFF
+        assert np.linalg.norm(q.T @ q - np.eye(cols), 2) <= tol
+        assert np.linalg.norm(q @ r - m, 2) <= tol * np.linalg.norm(m, 2)
+        assert np.array_equal(r, np.triu(r))
+        assert np.all(np.diag(r) >= 0.0)
+        r_ref = np.linalg.qr(m, mode="r")
+        assert np.array_equal(np.diag(r), np.abs(np.diag(r_ref)))
 
 
 class TestHouseholderQrContract:
@@ -514,20 +574,37 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def panel_sum(q, x):
+    """q^T x summed over row panels of q of at most 1 MiB, in row order."""
+    rows = max(1, 2**20 // (8 * max(q.shape[1], 1)))
+    s = q[:rows].T @ x[:rows]
+    for lo in range(rows, q.shape[0], rows):
+        s += q[lo : lo + rows].T @ x[lo : lo + rows]
+    return s
+
+
 class TestProjectOut:
-    @pytest.mark.parametrize("n", [1, 7, 300, 16384])
+    # 40000 rows: 2 panels at p = 5, 19 at p = 61 and 46 at p = 150, the
+    # last one short each time
+    @pytest.mark.parametrize("n", [1, 7, 300, 16384, 40000])
     @pytest.mark.parametrize("p", [0, 1, 5, 61, 150])
     def test_bits_match_the_inline_expression(self, n, p):
         g = rng(n + p)
         # a column slice of a wider Fortran array, like the solver's basis
         q = np.asfortranarray(g.standard_normal((n, p + 2)))[:, 1 : p + 1]
+        one_panel = 8 * n * p <= 2**20
+        q_abs = np.abs(q)
         for width in range(1, 17):
             for order in "CF":
                 x = np.array(g.standard_normal((n, width)), order=order)
                 s, got = project_out(q, x)
-                assert same_bits(s, q.T @ x)
-                assert same_bits(got, x - q @ (q.T @ x))
+                want = q.T @ x if one_panel else panel_sum(q, x)
+                assert same_bits(s, want)
+                assert same_bits(got, x - q @ want)
                 assert got.flags.f_contiguous
+                # each entry of s is a length-n inner product
+                bound = 2.0 * n * UNIT_ROUNDOFF * (q_abs.T @ np.abs(x))
+                assert np.all(np.abs(s - q.T @ x) <= bound)
 
     def test_empty_basis_returns_x(self):
         x = np.array([[1.5, -0.0], [np.inf, 2.0]])

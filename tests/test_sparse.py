@@ -170,6 +170,55 @@ class TestParse:
         )
 
 
+class TestParseDense:
+    """``dense_fill`` scatters straight into an ndarray; its bits are those
+    of the CsrMatrix's ``to_dense()``, and the fill counts distinct
+    positions, as ``nnz`` does."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # duplicates summed in file order, one of them a -0.0 alone
+            "%%MatrixMarket matrix coordinate real general\n2 2 6\n"
+            "1 1 0.1\n2 1 -0.0\n1 1 0.2\n1 1 0.3\n2 2 1e-300\n1 2 1e300\n",
+            # mirrored off-diagonals, and a duplicate across the mirror
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 6\n"
+            "1 1 -0.0\n2 1 0.1\n1 2 0.2\n3 2 -2.5\n3 3 7.0\n2 2 0.7\n",
+        ],
+    )
+    def test_bits_of_the_csr_to_dense(self, text):
+        got = parse_matrix_market(io.StringIO(text), dense_fill=4)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == mm(text).to_dense().tobytes()
+
+    def test_random_file_with_duplicates(self):
+        g = rng(11)
+        n = 30
+        rows, cols = g.integers(1, n + 1, (2, 700))
+        text = "%%%%MatrixMarket matrix coordinate real general\n%d %d 700\n%s\n" % (
+            n, n, "\n".join(
+                "%d %d %r" % (i, j, float(v))
+                for i, j, v in zip(rows, cols, g.standard_normal(700))
+            ))
+        got = parse_matrix_market(io.StringIO(text), dense_fill=4)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == mm(text).to_dense().tobytes()
+
+    @pytest.mark.parametrize("distinct, dense", [(3, False), (4, True)])
+    def test_fill_counts_distinct_positions(self, distinct, dense):
+        # 4 x 4 at a fill of 4 needs 4 distinct positions; the 6 entries
+        # repeat the first position until ``distinct`` are left
+        entries = [(1, 1), (2, 2), (3, 3), (4, 4)][:distinct]
+        entries += [(1, 1)] * (6 - distinct)
+        text = "%%%%MatrixMarket matrix coordinate real general\n4 4 6\n%s\n" % "\n".join(
+            "%d %d 1.5" % e for e in entries)
+        got = parse_matrix_market(io.StringIO(text), dense_fill=4)
+        assert isinstance(got, np.ndarray) == dense
+        want = mm(text)
+        assert want.nnz == distinct
+        assert (got if dense else got.to_dense()).tobytes() == want.to_dense().tobytes()
+
+
 class TestCsr:
     def test_validation_rejects_bad_row_ptr(self):
         with pytest.raises(ValueError):
