@@ -13,7 +13,7 @@ the previous basis columns, which keeps the accumulated candidate blocks
 well conditioned regardless of the polynomial basis quality.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,64 +59,51 @@ class OperatorSet:
 
 @dataclass
 class StepReport:
-    """One block step: the new inner-column range and its extra cost.
+    """The candidate-preparation work of one block step.
 
     Rank is not decided here: ``solve`` tests the fresh R diagonal
-    entries of the shared factorization. ``projections`` and
-    ``intra_qrs`` count the candidate-preparation work on top of the
-    shared orthogonalization, so logs can show the near-doubling of QR
-    cost in the modified variant.
+    entries of the shared factorization, the new block being
+    ``block_widths[-1]`` columns wide. ``projections`` and ``intra_qrs``
+    count the work on top of the shared orthogonalization, so logs can
+    show the near-doubling of QR cost in the modified variant.
     """
 
-    start: int
-    width: int
     projections: int = 0
     intra_qrs: int = 0
 
 
-class ArnoldiState:
-    """Basis, triangular factor, and per-step blocks of a restart cycle.
+class ArnoldiState(QrState):
+    """The factorization [r | W_1 | ... ] = V R of a restart cycle, with
+    its candidate blocks.
 
-    ``vr`` holds [r | W_1 | ... ] = V R; ``b_concat`` the candidate blocks
-    B_k, which span the solution update and feed the conditioning
-    diagnostics; ``w_colnorm2`` squared norms of the W columns as they
-    entered the QR (the rank test scales against their running sum).
-    The block layout is ``vr.block_widths``: the seed column's block of
-    width 1, then one entry per committed step.
+    ``q`` and ``r`` hold V and R, and ``block_widths`` the block layout:
+    the seed column's block of width 1, then one entry per committed
+    step. ``b_concat`` holds the candidate blocks B_k, which span the
+    solution update and feed the conditioning diagnostics;
+    ``w_colnorm2`` the squared norms of the W columns as they entered
+    the QR (the rank test scales against their running sum). Both have
+    one column per inner column, bounded by ``inner_cols`` as ``ncols``
+    bounds ``q`` and ``r`` (see ``QrState``).
 
     ``solve`` keeps one state per solve and calls ``reset`` before it
-    seeds each cycle, so a restart never holds two bases at once. The
-    reuse rests on one invariant: ``vr.ncols`` bounds every read of
-    ``vr.q`` and ``vr.r``, and ``inner_cols`` every read of ``b_concat``
-    and ``w_colnorm2``, so whatever an earlier cycle or a truncated block
-    left past those bounds is never seen, and nothing is cleared. It
-    holds because a commit writes its columns whole: ``vr.r``'s down to
-    the last row, with +0.0 below the diagonal block.
+    seeds each cycle, so a restart never holds two bases at once.
     """
 
     def __init__(self, n, max_inner):
         if not 1 <= max_inner <= n:
             raise ValueError("need 1 <= max_inner <= n")
-        self.vr = QrState(n, max_inner + 1)
+        super().__init__(n, max_inner + 1)
         self.b_concat = np.zeros((n, max_inner), order="F")
         self.w_colnorm2 = np.zeros(max_inner)
 
     @property
-    def n(self):
-        return self.b_concat.shape[0]
-
-    @property
     def max_inner(self):
-        return self.b_concat.shape[1]
+        return self.max_cols - 1
 
     @property
     def inner_cols(self):
         """Candidate columns committed so far: every basis column but the seed."""
-        return max(self.vr.ncols - 1, 0)
-
-    def reset(self):
-        """Empty the state for a new cycle, keeping its storage."""
-        self.vr.reset()
+        return max(self.ncols - 1, 0)
 
     def seed(self, r, orth_step):
         """Install the start residual as the first basis column.
@@ -124,13 +111,10 @@ class ArnoldiState:
         The QR of the single column makes R[0, 0] = ||r||, which is
         returned as beta.
         """
-        if self.vr.ncols != 0:
+        if self.ncols != 0:
             raise ValueError("state is already seeded")
-        orth_step(self.vr, r)
-        return self.vr.r[0, 0]
-
-    def basis_columns(self):
-        return self.vr.q[:, : self.vr.ncols]
+        orth_step(self, r)
+        return self.r[0, 0]
 
     def b_columns(self):
         return self.b_concat[:, : self.inner_cols]
@@ -149,22 +133,22 @@ def _finish_step(state, ops, b, orth_step, w_known=(), projections=0, intra_qrs=
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
     state.w_colnorm2[start : start + width] = np.sum(w * w, axis=0)
-    orth_step(state.vr, w)
-    return StepReport(start, width, projections, intra_qrs)
+    orth_step(state, w)
+    return StepReport(projections, intra_qrs)
 
 
 def _candidate_block(state, apply_op, basis, s):
-    if state.vr.ncols == 0:
+    if state.ncols == 0:
         raise ValueError("seed the state before stepping")
     room = state.max_inner - state.inner_cols
     if room <= 0:
         raise ValueError("no inner columns left; restart or stop")
-    seed = state.vr.q[:, state.vr.ncols - 1].copy()
+    seed = state.q[:, state.ncols - 1].copy()
     return build_krylov_block(apply_op, seed, min(s, room), basis)
 
 
-def _enforce_span_budget(state, report, attempted):
-    """Roll the committed block back to its span-consistent prefix.
+def _enforce_span_budget(state, attempted):
+    """Roll the newest committed block back to its span-consistent prefix.
 
     This cut alone holds the stacked candidates B~ at sigma_min >= 1/2,
     which with unit-norm columns caps cond2(B~) at 2 sqrt(n) + sqrt(s).
@@ -179,18 +163,16 @@ def _enforce_span_budget(state, report, attempted):
     seed column always stays (it is itself a basis column). The floor
     is checked by property tests, not at run time.
     """
-    if report.width <= 1:
-        return report
-    start = report.start
+    width = state.block_widths[-1]
+    start = state.inner_cols - width
     budget = np.sqrt(attempted) / (20.0 * state.max_inner**1.5)
-    for t in range(1, report.width):
+    for t in range(1, width):
         col = state.b_concat[:, start + t]
-        own = state.vr.q[:, start : start + t + 1]
+        own = state.q[:, start : start + t + 1]
         _, resid = project_out(own, col[:, None])
         if np.linalg.norm(resid) > budget:
             truncate_after_breakdown(state, start + t)
-            return replace(report, width=t)
-    return report
+            return
 
 
 def _live_width(r, rows, scale):
@@ -262,7 +244,7 @@ def modified_step(state, ops, basis, s, orth_step):
     """
     k = _candidate_block(state, ops.system_op, basis, s)
     if k.shape[1] > 1:
-        prev = state.vr.q[:, : state.vr.ncols - 1]
+        prev = state.q[:, : state.ncols - 1]
         # C order: the second pass's prev.T @ y rounds by y's layout
         y = np.empty(k.shape)
         project_out(prev, k, out=y)
@@ -273,7 +255,8 @@ def modified_step(state, ops, basis, s, orth_step):
         # norm and orthogonal to prev, so it cannot be the dead one
         q = q[:, : _live_width(r, y.shape[0], np.linalg.norm(k))]
         report = _finish_step(state, ops, q, orth_step, projections=2, intra_qrs=1)
-        return _enforce_span_budget(state, report, k.shape[1])
+        _enforce_span_budget(state, k.shape[1])
+        return report
     return _finish_step(state, ops, k, orth_step)
 
 
@@ -283,17 +266,17 @@ def truncate_after_breakdown(state, keep_inner):
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
     so [r | W] = V R still holds on the retained slice) and trims the
     block widths to match; no buffer needs a trim, by the invariant
-    stated in ``ArnoldiState``. Used by ``solve`` right before the
+    stated in ``QrState``. Used by ``solve`` right before the
     solution assembly of a cycle that hit a rank-deficient column, and
     by the modified step's span-budget cut.
     """
     if not 0 <= keep_inner <= state.inner_cols:
         raise ValueError("keep_inner out of range")
-    state.vr.ncols = keep_inner + 1
-    widths = state.vr.block_widths
+    state.ncols = keep_inner + 1
+    widths = state.block_widths
     total = sum(widths)
-    while total > state.vr.ncols:
-        drop = min(widths[-1], total - state.vr.ncols)
+    while total > state.ncols:
+        drop = min(widths[-1], total - state.ncols)
         widths[-1] -= drop
         total -= drop
         if widths[-1] == 0:

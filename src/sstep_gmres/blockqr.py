@@ -35,9 +35,13 @@ class QrState:
     the rank of the appended data are committed with a small R diagonal
     entry rather than rejected up front.
 
-    A commit writes its columns of ``q`` and ``r`` in full, ``r`` down to
-    its last row with +0.0 below the diagonal block, so ``ncols`` bounds
-    every read and ``reset`` clears nothing (see ``ArnoldiState``).
+    Storage is reused, not cleared, on one invariant: ``ncols`` bounds
+    every read of ``q`` and ``r`` (and a subclass's ``inner_cols`` every
+    read of its per-column buffers, as in ``ArnoldiState``), and a commit
+    writes its columns whole, ``r``'s down to the last row with +0.0
+    below the diagonal block. Whatever an earlier cycle or a truncated
+    block left past those bounds is never seen, so ``reset`` and a
+    truncation clear nothing.
     """
 
     def __init__(self, n, max_cols):

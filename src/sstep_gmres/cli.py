@@ -12,6 +12,7 @@ usage and input errors.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -54,6 +55,8 @@ DENSE_INFO_LIMIT = 500
 # arrays, 16 for the slot-major copy spmv builds on its first call.
 DENSE_FILL_DENOMINATOR = 4
 
+CONFIG_FIELDS = dataclasses.fields(SolverConfig)
+
 
 class CliError(Exception):
     """Unusable invocation or input; the message goes to standard error."""
@@ -89,39 +92,28 @@ def _build_parser():
         help="right-hand side: 'ones', 'file:PATH', or 'rsv:K' for the K-th "
         "right singular vector (needs --randsvd); default ones",
     )
-    p.add_argument("--s", type=int, default=1, help="basis columns per block step")
+    # one flag per SolverConfig field: its dest is the field's name, and
+    # its default the field's, set with ``set_defaults`` below
+    p.add_argument("--s", type=int, help="basis columns per block step")
     p.add_argument(
-        "--basis",
-        choices=BASIS_CHOICES,
-        default="monomial",
-        help="polynomial basis for the Krylov block",
+        "--basis", choices=BASIS_CHOICES, help="polynomial basis for the Krylov block"
     )
+    p.add_argument("--arnoldi", choices=ARNOLDI_CHOICES, help="block Arnoldi variant")
     p.add_argument(
-        "--arnoldi",
-        choices=ARNOLDI_CHOICES,
-        default="classical",
-        help="block Arnoldi variant",
+        "--orth", choices=ORTH_CHOICES, help="block orthogonalization method"
     )
-    p.add_argument(
-        "--orth",
-        choices=ORTH_CHOICES,
-        default="bcgsi+",
-        help="block orthogonalization method",
-    )
-    p.add_argument(
-        "--tol", type=float, default=None, help="backward error tolerance, default n*u"
-    )
+    p.add_argument("--tol", type=float, help="backward error tolerance, default n*u")
     p.add_argument(
         "--tolh",
         type=float,
-        default=None,
+        dest="tol_h",
+        metavar="TOLH",
         help="basis rank-test tolerance, default sqrt(n)*u",
     )
-    p.add_argument("--restart", type=int, default=None, help="restart length")
+    p.add_argument("--restart", type=int, help="restart length")
     p.add_argument(
         "--max-outer",
         type=int,
-        default=None,
         help="cap on block steps (restart cycles when --restart is set)",
     )
     p.add_argument(
@@ -133,7 +125,6 @@ def _build_parser():
     p.add_argument(
         "--basis-operator",
         choices=BASIS_OPERATOR_CHOICES,
-        default="plain",
         help="operator the classical variant builds the polynomial basis with; "
         "the modified variant always uses the preconditioned one",
     )
@@ -144,12 +135,11 @@ def _build_parser():
     p.add_argument(
         "--diag-every",
         type=int,
-        default=1,
         metavar="K",
         help="measure basis conditioning on block steps K, 2K, ... of each "
         "cycle and on no other step",
     )
-    p.set_defaults(run=_run_solve)
+    p.set_defaults(run=_run_solve, **{f.name: f.default for f in CONFIG_FIELDS})
 
     p = sub.add_parser(
         "gen",
@@ -251,18 +241,7 @@ def _print_summary(result, storage):
 def _run_solve(args):
     mat, n, singular_vectors = _load_problem(args)
     rhs = _resolve_rhs(args.rhs, n, singular_vectors)
-    config = SolverConfig(
-        s=args.s,
-        basis=args.basis,
-        arnoldi=args.arnoldi,
-        orth=args.orth,
-        tol=args.tol,
-        tol_h=args.tolh,
-        restart=args.restart,
-        max_outer=args.max_outer,
-        basis_operator=args.basis_operator,
-        diag_every=args.diag_every,
-    )
+    config = SolverConfig(**{f.name: getattr(args, f.name) for f in CONFIG_FIELDS})
     prec = jacobi_preconditioner(mat) if args.precond == "jacobi" else None
     result = solve(mat, rhs, config=config, preconditioner=prec)
     if args.csv is not None:

@@ -84,8 +84,9 @@ class CandidateFactor:
 
     ``extend`` catches the factor up on the columns committed since the
     last call: C <- Q^T C = C - Y T^T (Y^T C), O(n m s) for s new
-    columns against m old ones, then one Householder step per new
-    column on the trailing rows. Columns already factored are never
+    columns against m old ones, then LAPACK's dgeqrf on their trailing
+    rows (``np.linalg.qr``'s raw mode), whose reflectors and tau extend
+    Y and T by dlarft's recurrence. Columns already factored are never
     re-read, so they must not change; within a cycle the solver only
     appends (a truncation cuts the newest block, which is measured after
     the cut). The factor reads only the candidates, never the solver's
@@ -124,29 +125,17 @@ class CandidateFactor:
         y, t = self._y, self._t
         if m:
             project_out(y[:, :m], c, t[:m, :m].T, out=c)
-        for j in range(upto - m):
-            p = m + j
-            x = c[p:, j]
-            alpha = x[0]
-            norm = np.sqrt(x @ x)
-            y[p, p] = 1.0
-            if norm == 0.0:
-                # a column in the span of its predecessors: H_p = I
-                beta = tau = 0.0
-            else:
-                # LAPACK's dlarfg: H_p x = beta e_1 with v[0] = 1, and
-                # alpha - beta never cancels
-                beta = -np.copysign(norm, alpha)
-                tau = (beta - alpha) / beta
-                y[p + 1 :, p] = x[1:] / (alpha - beta)
-                rest = c[p:, j + 1 :]
-                if rest.shape[1]:
-                    rest -= np.outer(tau * y[p:, p], y[p:, p] @ rest)
-            self._r[:p, p] = c[:p, j]
-            self._r[p, p] = beta
+        # LAPACK's dgeqrf on the trailing rows: h.T holds R on and above
+        # its diagonal and the reflectors below it, with v[0] = 1 implied
+        h, tau = np.linalg.qr(c[m:], mode="raw")
+        self._r[:m, m:upto] = c[:m]
+        self._r[m:upto, m:upto] = np.triu(h.T[: upto - m])
+        y[m:, m:upto] = np.tril(h.T, -1)
+        for p in range(m, upto):
             # Q_p = Q_{p-1} H_p extends T by the column -tau T (Y^T v), tau
-            t[:p, p] = -tau * (t[:p, :p] @ (y[p:, :p].T @ y[p:, p]))
-            t[p, p] = tau
+            y[p, p] = 1.0
+            t[:p, p] = -tau[p - m] * (t[:p, :p] @ (y[p:, :p].T @ y[p:, p]))
+            t[p, p] = tau[p - m]
         self.ncols = upto
 
     def cond2(self):
@@ -201,9 +190,9 @@ def basis_condition_numbers(state, factor, valid_cols=None):
     a time. Identical settings give identical bits.
     """
     inner = state.inner_cols if valid_cols is None else valid_cols
-    start = state.inner_cols - state.vr.block_widths[-1]
+    start = state.inner_cols - state.block_widths[-1]
     sub = state.b_concat[:, start:inner]
-    v = state.vr.q[:, : inner + 1]
+    v = state.q[:, : inner + 1]
     cond_bt = np.nan
     if inner:
         cond_bt = _candidates_cond2(state.b_concat, inner, factor)

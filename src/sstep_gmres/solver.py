@@ -92,9 +92,11 @@ class SolverConfig:
     """Algorithmic knobs; tolerances left as None resolve at solve time
     to tol = n*u and tol_h = sqrt(n)*u, with u = 2^-53.
 
-    ``max_outer`` caps block steps when no restart is set and caps
-    restart cycles otherwise; left as None with a restart it defaults to
-    ceil(n / restart) cycles so a stagnating run still terminates.
+    ``max_outer`` caps block steps when no restart is set, and the run's
+    storage then holds min(n, max_outer * s) basis columns rather than
+    n; it caps restart cycles otherwise, and left as None with a restart
+    it defaults to ceil(n / restart) cycles so a stagnating run still
+    terminates.
     ``diag_every`` gates the conditioning diagnostics: block step k of a
     cycle is measured if and only if k is a multiple of it, so a value
     above the run's step count switches them off. A measurement on m
@@ -276,6 +278,17 @@ def _resolve_basis(config, ritz_op, r, s):
     return ChebyshevBasis(params.center, params.focal)
 
 
+def _real_vector(v, name, n):
+    """A float copy of v, which must be real, of shape (n,) and finite."""
+    _reject_complex(v, name)
+    v = np.array(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError("%s has wrong shape" % name)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("%s must be finite" % name)
+    return v
+
+
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("non-finite value encountered during solve")
@@ -292,21 +305,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     """
     config = config or SolverConfig()
     matvec, a_fro, n = _system_operators(a)
-    _reject_complex(b, "right-hand side")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError("right-hand side has wrong shape")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        _reject_complex(x0, "x0")
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,):
-            raise ValueError("x0 has wrong shape")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x0 must be finite")
+    b = _real_vector(b, "right-hand side", n)
+    x = np.zeros(n) if x0 is None else _real_vector(x0, "x0", n)
     if preconditioner is not None and preconditioner.diag.shape != (n,):
         raise ValueError(
             "jacobi preconditioner diagonal has shape %r, but the matrix has n=%d"
@@ -333,21 +333,23 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     step_fn = classical_step if config.arnoldi == "classical" else modified_step
     orth_step = bcgsi_plus_step if config.orth == "bcgsi+" else bmgs_step
 
-    max_inner = config.restart if config.restart is not None else n
     restarted = config.restart is not None
-    # a plain run is one cycle; a restarted run must terminate even while
-    # stagnating: without an explicit cap it gets n total inner
-    # iterations, like a plain run
-    max_cycles = 1
-    if restarted:
-        max_cycles = config.max_outer or -(-n // max_inner)
     max_steps = None if restarted else config.max_outer
+    # an unrestarted run is one cycle, sized by what its step cap lets it
+    # commit; a restarted run must terminate even while stagnating:
+    # without an explicit cap it gets n total inner iterations, like an
+    # unrestarted run
+    if restarted:
+        max_inner = config.restart
+        max_cycles = config.max_outer or -(-n // max_inner)
+    else:
+        max_inner = min(n, (max_steps or n) * config.s)
+        max_cycles = 1
 
     records = []
     status = None
     b_err = None
     cycle = 0
-    total_steps = 0
     total_inner = 0
     total_cand_proj = 0
     total_cand_qr = 0
@@ -377,23 +379,21 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             report = step_fn(state, ops, basis, config.s, orth_step)
             total_cand_proj += report.projections
             total_cand_qr += report.intra_qrs
-            _check_finite(state.vr.r[: state.vr.ncols, : state.vr.ncols])
+            _check_finite(state.r_active)
 
             # rank test on the fresh R diagonal entries: basis column c
             # added no direction if |R[c,c]| <= tol_h * ||W_1..W_c||_F
+            start = state.inner_cols - state.block_widths[-1]
             broke_at = None
             w_cum = np.cumsum(state.w_colnorm2[: state.inner_cols])
-            for c in range(report.start + 1, report.start + report.width + 1):
-                if abs(state.vr.r[c, c]) <= tol_h * np.sqrt(w_cum[c - 1]):
+            for c in range(start + 1, state.inner_cols + 1):
+                if abs(state.r[c, c]) <= tol_h * np.sqrt(w_cum[c - 1]):
                     broke_at = c
                     break
 
-            absorb_upto = broke_at if broke_at is not None else state.inner_cols
-            ls.absorb_columns(
-                state.vr.r[: absorb_upto + 1, report.start + 1 : absorb_upto + 1]
-            )
             if broke_at is not None:
                 truncate_after_breakdown(state, broke_at)
+            ls.absorb_columns(state.r[: state.ncols, start + 1 : state.ncols])
 
             y = ls.coefficients()
             x = x_start + state.b_concat[:, : ls.ncols] @ y
@@ -437,7 +437,6 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                     restart_cycle=cycle,
                 )
             )
-            total_steps += 1
 
         total_inner += ls.ncols
 
@@ -450,7 +449,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
         backward_error=b_err,
         records=records,
         cycles=cycle,
-        block_steps=total_steps,
+        block_steps=len(records),
         inner_iterations=total_inner,
         candidate_projections=total_cand_proj,
         candidate_qr_count=total_cand_qr,

@@ -147,7 +147,7 @@ def test_criterion_3_span_equivalence():
             w = a @ w
             w = w / np.linalg.norm(w)
         b_cols = state.b_columns()
-        v_cols = state.basis_columns()[:, :p]
+        v_cols = state.q_active[:, :p]
         for lhs, rhs in ((b_cols, krylov), (v_cols, krylov), (b_cols, v_cols)):
             worst = max(worst, max_principal_angle(lhs, rhs))
     assert worst <= 1e-8

@@ -40,8 +40,8 @@ def run_cycle(a, r, s, steps, step_fn, basis=None, ops=None, orth=bcgsi_plus_ste
 
 
 def hess_from_state(state):
-    p = state.vr.ncols
-    return state.vr.r[:p, 1:p]
+    p = state.ncols
+    return state.r[:p, 1:p]
 
 
 def first_dead_r_diagonal(state, tol_h):
@@ -49,7 +49,7 @@ def first_dead_r_diagonal(state, tol_h):
     is at most tol_h * ||W_1..W_c||_F, or None."""
     w_cum = np.sqrt(np.cumsum(state.w_colnorm2[: state.inner_cols]))
     for c in range(1, state.inner_cols + 1):
-        if abs(state.vr.r[c, c]) <= tol_h * w_cum[c - 1]:
+        if abs(state.r[c, c]) <= tol_h * w_cum[c - 1]:
             return c
     return None
 
@@ -61,7 +61,7 @@ class TestClassicalStep:
         state, beta, _ = run_cycle(a, r, 3, 2, classical_step)
         assert beta == pytest.approx(np.linalg.norm(r), rel=1e-15)
         np.testing.assert_allclose(
-            state.vr.q[:, 0], r / np.linalg.norm(r), rtol=1e-14
+            state.q[:, 0], r / np.linalg.norm(r), rtol=1e-14
         )
 
     def test_arnoldi_relation(self):
@@ -69,7 +69,7 @@ class TestClassicalStep:
         a = matrix_with_cond(30, 30, 1e2, seed=3)
         r = rng(4).standard_normal(30)
         state, _, _ = run_cycle(a, r, 4, 3, classical_step)
-        v = state.basis_columns()
+        v = state.q_active
         h = hess_from_state(state)
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ h)
@@ -83,15 +83,14 @@ class TestClassicalStep:
         explicit[:, 0] = r
         for j in range(1, 7):
             explicit[:, j] = a @ explicit[:, j - 1]
-        assert max_principal_angle(state.basis_columns(), explicit) <= 1e-8
+        assert max_principal_angle(state.q_active, explicit) <= 1e-8
 
     def test_block_bookkeeping(self):
         a = matrix_with_cond(20, 20, 10.0, seed=7)
-        state, _, reports = run_cycle(a, rng(8).standard_normal(20), 3, 2, classical_step)
-        assert [(r.start, r.width) for r in reports] == [(0, 3), (3, 3)]
+        state, _, _ = run_cycle(a, rng(8).standard_normal(20), 3, 2, classical_step)
         assert state.inner_cols == 6
-        assert state.vr.ncols == 7
-        assert state.vr.block_widths == [1, 3, 3]
+        assert state.ncols == 7
+        assert state.block_widths == [1, 3, 3]
         assert np.all(state.w_colnorm2[:6] > 0)
 
     def test_last_block_capped_by_capacity(self):
@@ -99,9 +98,9 @@ class TestClassicalStep:
         state = ArnoldiState(12, 5)
         ops = identity_ops(a)
         state.seed(rng(10).standard_normal(12), bcgsi_plus_step)
-        r1 = classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
-        r2 = classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
-        assert (r1.width, r2.width) == (3, 2)
+        classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
+        classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
+        assert state.block_widths == [1, 3, 2]
         assert state.inner_cols == 5
         with pytest.raises(ValueError, match="no inner columns left"):
             classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
@@ -116,7 +115,7 @@ class TestClassicalStep:
         state.seed(rng(12).standard_normal(16), bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
-        v = state.basis_columns()
+        v = state.q_active
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
@@ -132,7 +131,7 @@ class TestClassicalStep:
         state.seed(left(rng(14).standard_normal(18)), bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
         classical_step(state, ops, MonomialBasis(), 3, bcgsi_plus_step)
-        v = state.basis_columns()
+        v = state.q_active
         lhs = (a @ state.b_columns()) / d[:, None]
         resid = np.linalg.norm(lhs - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(lhs)
@@ -172,8 +171,8 @@ class TestClassicalStep:
             assert (got_applies, want_applies) == (3 * 4, 3 * 7)
             for field in ("b_concat", "w_colnorm2"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert got.vr.q.tobytes() == want.vr.q.tobytes()
-            assert got.vr.r.tobytes() == want.vr.r.tobytes()
+            assert got.q.tobytes() == want.q.tobytes()
+            assert got.r.tobytes() == want.r.tobytes()
 
 
 def live_width(m, scale=None):
@@ -238,13 +237,13 @@ class TestModifiedStep:
         a = matrix_with_cond(24, 24, 1e3, seed=21)
         r = rng(22).standard_normal(24)
         state, _, _ = run_cycle(a, r, 4, 3, modified_step)
-        v = state.basis_columns()
+        v = state.q_active
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
         classical, _, _ = run_cycle(a, r, 4, 3, classical_step)
         assert (
-            max_principal_angle(v, classical.basis_columns()) <= 1e-6
+            max_principal_angle(v, classical.q_active) <= 1e-6
         )
 
     def test_candidate_blocks_stay_well_conditioned(self):
@@ -283,8 +282,8 @@ class TestModifiedStep:
         # five blocks of four fill the space and the stacked candidates
         # stay within the conditioning bound
         a, _, _ = gen_randsvd(RandSvdSpec(n=20, kappa=1e5, mode=1, seed=1))
-        state, _, reports = run_cycle(a, np.ones(20), 4, 5, modified_step)
-        assert [p.width for p in reports] == [4, 4, 4, 4, 4]
+        state, _, _ = run_cycle(a, np.ones(20), 4, 5, modified_step)
+        assert state.block_widths == [1, 4, 4, 4, 4, 4]
         assert state.inner_cols == 20
         assert cond2(state.b_columns()) <= 2.0 * np.sqrt(20) + 2.0
 
@@ -298,19 +297,19 @@ class TestModifiedStep:
         a = np.diag(np.repeat([1.0, 2.0], n // 2))
         r = rng(63).standard_normal(n)
         tol_h = np.sqrt(n) * UNIT_ROUNDOFF
-        state, _, reports = run_cycle(a, r, 3, 1, modified_step)
-        assert reports[0].width == 2
+        state, _, _ = run_cycle(a, r, 3, 1, modified_step)
+        assert state.block_widths == [1, 2]
         assert state.inner_cols == 2
         assert first_dead_r_diagonal(state, tol_h) == 2
-        assert abs(state.vr.r[2, 2]) <= 1e-12
-        v = state.basis_columns()
+        assert abs(state.r[2, 2]) <= 1e-12
+        v = state.q_active
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
         # the classical variant commits all three candidates and leaves
         # detection entirely to the rank test
-        cstate, _, creports = run_cycle(a, r, 3, 1, classical_step)
-        assert creports[0].width == 3
+        cstate, _, _ = run_cycle(a, r, 3, 1, classical_step)
+        assert cstate.block_widths == [1, 3]
         assert cstate.inner_cols == 3
         assert first_dead_r_diagonal(cstate, tol_h) == 2
 
@@ -319,8 +318,8 @@ class TestModifiedStep:
         r = rng(26).standard_normal(20)
         sc, _, _ = run_cycle(a, r, 1, 8, classical_step)
         sm, _, _ = run_cycle(a, r, 1, 8, modified_step)
-        np.testing.assert_array_equal(sc.basis_columns(), sm.basis_columns())
-        np.testing.assert_array_equal(sc.vr.r_active, sm.vr.r_active)
+        np.testing.assert_array_equal(sc.q_active, sm.q_active)
+        np.testing.assert_array_equal(sc.r_active, sm.r_active)
         np.testing.assert_array_equal(sc.b_columns(), sm.b_columns())
 
     def test_works_with_all_bases_and_both_orthogonalizers(self):
@@ -336,7 +335,7 @@ class TestModifiedStep:
                 state, _, _ = run_cycle(
                     a, r, 3, 3, modified_step, basis=kind, orth=orth
                 )
-                loss = loss_of_orthogonality(state.basis_columns())
+                loss = loss_of_orthogonality(state.q_active)
                 if orth is bcgsi_plus_step:
                     assert loss <= 1e-12
                 else:
@@ -346,7 +345,7 @@ class TestModifiedStep:
                     assert loss <= 1e-4
                 ab = a @ state.b_columns()
                 resid = np.linalg.norm(
-                    ab - state.basis_columns() @ hess_from_state(state)
+                    ab - state.q_active @ hess_from_state(state)
                 )
                 assert resid <= 1e-11 * np.linalg.norm(ab)
 
@@ -422,13 +421,11 @@ class TestBreakdownHandling:
         state = ArnoldiState(n, 3)
         b = rng(31).standard_normal(n)
         state.seed(b, bcgsi_plus_step)
-        rep = classical_step(
-            state, identity_ops(a), MonomialBasis(), 1, bcgsi_plus_step
-        )
+        classical_step(state, identity_ops(a), MonomialBasis(), 1, bcgsi_plus_step)
         # W's only column equals the seed direction, so V column 1 is junk
-        assert (rep.start, rep.width) == (0, 1)
+        assert state.block_widths == [1, 1]
         assert first_dead_r_diagonal(state, np.sqrt(n) * UNIT_ROUNDOFF) == 1
-        assert abs(state.vr.r[1, 1]) <= 1e-12
+        assert abs(state.r[1, 1]) <= 1e-12
 
     def test_truncate_keeps_factorization_consistent(self):
         a = matrix_with_cond(20, 20, 10.0, seed=33)
@@ -436,9 +433,9 @@ class TestBreakdownHandling:
         state, _, _ = run_cycle(a, r, 3, 2, classical_step)
         truncate_after_breakdown(state, 4)
         assert state.inner_cols == 4
-        assert state.vr.ncols == 5
-        assert state.vr.block_widths == [1, 3, 1]
-        v = state.basis_columns()
+        assert state.ncols == 5
+        assert state.block_widths == [1, 3, 1]
+        v = state.q_active
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - v @ hess_from_state(state))
         assert resid <= 1e-12 * np.linalg.norm(ab)
@@ -460,18 +457,18 @@ class TestBreakdownHandling:
         a = matrix_with_cond(n, n, cond, seed=seed)
         r = rng(seed + 1).standard_normal(n)
         state, _, _ = run_cycle(a, r, s, steps, step_fn, orth=orth)
-        before = list(state.vr.block_widths)
+        before = list(state.block_widths)
         k = data.draw(st.integers(1, state.inner_cols), label="keep_inner")
         truncate_after_breakdown(state, k)
 
-        widths = state.vr.block_widths
-        assert sum(widths) == state.vr.ncols == state.inner_cols + 1 == k + 1
+        widths = state.block_widths
+        assert sum(widths) == state.ncols == state.inner_cols + 1 == k + 1
         # the kept layout is the old one cut at basis column k
         assert widths[:-1] == before[: len(widths) - 1]
         assert 1 <= widths[-1] <= before[len(widths) - 1]
 
         ab = a @ state.b_columns()
-        resid = np.linalg.norm(ab - state.basis_columns() @ hess_from_state(state))
+        resid = np.linalg.norm(ab - state.q_active @ hess_from_state(state))
         assert resid <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(ab)
 
         # the newest block that the diagnostics measure is the trailing

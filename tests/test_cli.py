@@ -4,6 +4,7 @@ Most tests drive ``main`` in process to check exit codes and outputs;
 the parser never calls sys.exit on usage errors, it reports and returns 1.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -207,6 +208,53 @@ class TestUsageErrors:
             "--precond", "--basis-operator", "--csv", "--summary", "--diag-every",
         ):
             assert flag in text
+
+
+# (flag, value, SolverConfig field, parsed value)
+CONFIG_FLAGS = [
+    ("--s", "3", "s", 3),
+    ("--basis", "newton", "basis", "newton"),
+    ("--arnoldi", "modified", "arnoldi", "modified"),
+    ("--orth", "bmgs", "orth", "bmgs"),
+    ("--tol", "1e-9", "tol", 1e-9),
+    ("--tolh", "1e-12", "tol_h", 1e-12),
+    ("--restart", "4", "restart", 4),
+    ("--max-outer", "7", "max_outer", 7),
+    ("--basis-operator", "preconditioned", "basis_operator", "preconditioned"),
+    ("--diag-every", "5", "diag_every", 5),
+]
+
+
+class TestConfigFlags:
+    """``sgmres solve`` passes SolverConfig's own defaults, and each config
+    flag sets the field of its name."""
+
+    IDENTITY = os.path.join(FIXTURES, "identity_4.mtx")
+
+    def config_of(self, monkeypatch, capsys, *flags):
+        configs = []
+
+        def spy(a, b, config=None, preconditioner=None):
+            configs.append(config)
+            return solve(a, b, config=config, preconditioner=preconditioner)
+
+        monkeypatch.setattr(cli, "solve", spy)
+        code, _, err = run(capsys, "solve", "--matrix", self.IDENTITY, *flags)
+        assert (code, err) == (0, "")
+        [config] = configs
+        return config
+
+    def test_bare_solve_passes_the_default_config(self, monkeypatch, capsys):
+        assert self.config_of(monkeypatch, capsys) == SolverConfig()
+
+    @pytest.mark.parametrize("flag, value, field, want", CONFIG_FLAGS)
+    def test_each_flag_sets_its_field(self, monkeypatch, capsys, flag, value, field, want):
+        config = self.config_of(monkeypatch, capsys, flag, value)
+        assert config == dataclasses.replace(SolverConfig(), **{field: want})
+
+    def test_every_field_has_a_flag(self):
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert {field for _, _, field, _ in CONFIG_FLAGS} == fields
 
 
 class TestGenCommand:

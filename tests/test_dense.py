@@ -530,7 +530,7 @@ class TestCond2PivotedRPath:
 
         def capture(state, factor, valid_cols=None):
             inner = state.inner_cols if valid_cols is None else valid_cols
-            start = state.inner_cols - state.vr.block_widths[-1]
+            start = state.inner_cols - state.block_widths[-1]
             b = state.b_concat
             slices.append((b[:, :inner].copy(), b[:, start:inner].copy()))
             return measure(state, factor, valid_cols)

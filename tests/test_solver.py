@@ -156,6 +156,8 @@ class TestSolveBasics:
         assert res.status == "converged_backward"
         assert res.block_steps == 0
         np.testing.assert_array_equal(res.x, xs)
+        # x0 is copied: the result never aliases the caller's array
+        assert not np.shares_memory(res.x, xs)
 
     def test_backward_error_matches_reported(self):
         a = matrix_with_cond(25, 25, 1e2, seed=7)
@@ -618,11 +620,11 @@ class TestOperatorApplyCounts:
 
 class PoisonedState(ArnoldiState):
     """Fills the whole storage with NaN after each reset, so any read
-    past ``vr.ncols`` or ``inner_cols`` shows up in the results."""
+    past ``ncols`` or ``inner_cols`` shows up in the results."""
 
     def reset(self):
         super().reset()
-        for buf in (self.vr.q, self.vr.r, self.b_concat, self.w_colnorm2):
+        for buf in (self.q, self.r, self.b_concat, self.w_colnorm2):
             buf.fill(np.nan)
 
 
@@ -727,7 +729,7 @@ class TestRestartInPlace:
         state = ArnoldiState(a.n, 60)
         one_state = sum(
             buf.nbytes
-            for buf in (state.vr.q, state.vr.r, state.b_concat, state.w_colnorm2)
+            for buf in (state.q, state.r, state.b_concat, state.w_colnorm2)
         )
         del state
         tracemalloc.start()
@@ -740,8 +742,8 @@ class TestRestartInPlace:
         assert peak < 1.5 * one_state
 
 
-# an unrestarted solve at n = 4096: V, R and B~ are each reserved at
-# about n^2 doubles (128 MiB), but four blocks of s = 5 commit 21 columns
+# an unrestarted solve at n = 4096 whose four blocks of s = 5 commit 21
+# basis columns
 UNRESTARTED_RSS_GROWTH = """
 import resource
 import numpy as np
@@ -775,3 +777,33 @@ def test_unrestarted_memory_grows_with_committed_columns():
     assert proc.returncode == 0, proc.stderr
     growth_kib = int(proc.stdout)
     assert growth_kib < 32 * 1024, growth_kib
+
+
+class TestStorageSize:
+    """The one ArnoldiState of a solve holds what the run can commit."""
+
+    def state_size(self, monkeypatch, a, n, **kwargs):
+        created = []
+
+        class Recording(ArnoldiState):
+            def __init__(self, *args):
+                created.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver_module, "ArnoldiState", Recording)
+        solve(a, np.ones(n), config=SolverConfig(**kwargs))
+        (state,) = created
+        assert state.b_concat.shape == (n, state.max_inner)
+        assert state.q.shape == (n, state.max_inner + 1)
+        return state.max_inner
+
+    def test_capped_unrestarted_run_holds_max_outer_blocks(self, monkeypatch):
+        a = csr_from_coo(*stencil_coo(64))
+        assert self.state_size(monkeypatch, a, a.n, s=5, max_outer=4) == 20
+
+    def test_other_runs_keep_their_sizes(self, monkeypatch):
+        a = csr_from_coo(*stencil_coo(6))
+        size = lambda **kwargs: self.state_size(monkeypatch, a, a.n, **kwargs)
+        assert size(s=5, tol=1e-30) == 36
+        assert size(s=5, max_outer=20, tol=1e-30) == 36
+        assert size(s=5, restart=12, max_outer=2, tol=1e-30) == 12
