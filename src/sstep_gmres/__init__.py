@@ -18,8 +18,8 @@ from .basis import (
     compute_ritz_values,
     leja_order,
 )
-from .blockqr import QrState, bcgsi_plus_step, bmgs_step, loss_of_orthogonality
-from .dense import UNIT_ROUNDOFF, cond2, householder_qr, jacobi_svd_values
+from .blockqr import QrState, bcgsi_plus_step, bmgs_step
+from .dense import UNIT_ROUNDOFF, cond2, householder_qr
 from .diagnostics import (
     IterationRecord,
     basis_condition_numbers,
@@ -68,9 +68,7 @@ __all__ = [
     "gen_randsvd",
     "householder_qr",
     "jacobi_preconditioner",
-    "jacobi_svd_values",
     "leja_order",
-    "loss_of_orthogonality",
     "modified_step",
     "parse_matrix_market",
     "read_csv",

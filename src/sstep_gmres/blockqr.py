@@ -21,7 +21,6 @@ __all__ = [
     "QrState",
     "bcgsi_plus_step",
     "bmgs_step",
-    "loss_of_orthogonality",
 ]
 
 
@@ -126,15 +125,3 @@ def bmgs_step(state, x):
     q_new, r_diag = householder_qr(x)
     state._commit(p, q_new, r_above, r_diag)
 
-
-def loss_of_orthogonality(q):
-    """|| I - Q^T Q ||_2 of the given columns.
-
-    The matrix is symmetric, so its 2-norm is its largest eigenvalue in
-    magnitude: one ``eigvalsh`` rather than an SVD.
-    """
-    q = np.asarray(q)
-    if q.size == 0:
-        return 0.0
-    ev = np.linalg.eigvalsh(np.eye(q.shape[1]) - q.T @ q)
-    return float(max(-ev[0], ev[-1]))

@@ -1,6 +1,5 @@
 """Dense kernels: Householder QR, the projection x - Q(Q^T x), Givens
-rotations, the 2-norm condition number, a one-sided Jacobi SVD as its
-reference, and a scale-safe Frobenius norm.
+rotations, the 2-norm condition number and a scale-safe Frobenius norm.
 
 The solver's rank decisions are not made here: the QR returns its
 factors, and what a small pivot means is up to the caller that reads it.
@@ -22,9 +21,9 @@ singular values because triangular inversion is componentwise backward
 stable. The Gram path never factors A. It forms A^T A from A's entries
 by a plain matrix product and diagonalizes that, so it shares no step
 with the Householder QR that produced the basis it measures: whatever
-orthogonality the QR lost appears in E entry by entry.
-``jacobi_svd_values`` gives every singular value by one-sided Jacobi on
-the same pivoted R; it is the reference ``cond2`` is tested against.
+orthogonality the QR lost appears in E entry by entry. The tests hold
+``cond2`` to a one-sided Jacobi SVD (LAPACK's dgejsv) of the same
+pivoted R, outside the package.
 
 The two halves of ``cond2`` are also public for callers that hold their
 own triangular factor: ``gram_cond2`` is the Gram path alone, and
@@ -46,7 +45,6 @@ __all__ = [
     "frobenius_norm",
     "gram_cond2",
     "householder_qr",
-    "jacobi_svd_values",
     "project_out",
     "triangular_cond2",
 ]
@@ -163,10 +161,11 @@ def compute_givens(a, b):
 def _qrcp_r(a):
     """R factor of a column-pivoted Householder QR of a (rows >= cols).
 
-    Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That keeps the
-    one-sided Jacobi iteration fast and accurate and bounds the growth of
-    R^{-1} on badly scaled input; the singular values of R match those of
-    ``a`` up to a backward-stable factorization.
+    Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That bounds
+    the growth of R^{-1} on badly scaled input, and makes the rows of R
+    the input on which the tests' reference, one-sided Jacobi on R^T,
+    converges fast and accurately; the singular values of R match those
+    of ``a`` up to a backward-stable factorization.
     """
     work = np.array(a, dtype=float, order="F", copy=True)
     cols = work.shape[1]
@@ -191,102 +190,6 @@ def _qrcp_r(a):
         work[j, j] = beta
         work[j + 1:, j] = 0.0
     return np.triu(work[:cols])
-
-
-def _round_robin_schedule(k):
-    """Tournament pairing: k-1 rounds of disjoint column pairs covering all pairs.
-
-    Returns (ip, iq), one row per round: round r pairs column ip[r, i]
-    with iq[r, i]. This is the circle method: column 0 stays put and the
-    others rotate by one place per round; for odd k a dummy column k
-    sits out one pairing per round.
-    """
-    m = k + k % 2
-    half = m // 2
-    r = np.arange(m - 1)
-    # in round r, seat j >= 1 holds column 1 + (j - 1 - r) mod (m - 1)
-    seats = np.zeros((m - 1, m), dtype=np.intp)
-    seats[:, 1:] = 1 + (r[None, :] - r[:, None]) % (m - 1)
-    ip, iq = seats[:, :half], seats[:, ::-1][:, :half]
-    real = (ip < k) & (iq < k)
-    ip = ip[real].reshape(m - 1, -1)
-    iq = iq[real].reshape(m - 1, -1)
-    return ip, iq
-
-
-def _jacobi_sweeps(w, tol, max_sweeps):
-    """One-sided Jacobi on the columns of w, in place. True if converged."""
-    k = w.shape[1]
-    if k < 2:
-        return True
-    schedule = _round_robin_schedule(k)
-    for _ in range(max_sweeps):
-        rotations = 0
-        for ip, iq in zip(*schedule):
-            p = w[:, ip]
-            q = w[:, iq]
-            app = np.einsum("ij,ij->j", p, p)
-            aqq = np.einsum("ij,ij->j", q, q)
-            apq = np.einsum("ij,ij->j", p, q)
-            need = np.abs(apq) > tol * np.sqrt(app) * np.sqrt(aqq)
-            if not need.any():
-                continue
-            rotations += int(need.sum())
-            app_r = app[need]
-            aqq_r = aqq[need]
-            apq_r = apq[need]
-            tau = (aqq_r - app_r) / (2.0 * apq_r)
-            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            # tau == 0 makes sign() vanish; the symmetric case rotates by 45 deg
-            t = np.where(tau == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            pr = p[:, need]
-            qr = q[:, need]
-            w[:, ip[need]] = c * pr - s * qr
-            w[:, iq[need]] = s * pr + c * qr
-        if rotations == 0:
-            return True
-    return False
-
-
-# one-sided Jacobi: relative off-diagonal tolerance and sweep cap
-JACOBI_TOL = 1e-15
-JACOBI_MAX_SWEEPS = 60
-
-
-def _require_finite(a):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("singular values require finite entries")
-    return a
-
-
-def jacobi_svd_values(m):
-    """Singular values of m (rows >= cols), descending, by one-sided Jacobi.
-
-    The matrix is first reduced to its pivoted R factor, then Jacobi
-    rotations are applied to column pairs until every off-diagonal Gram
-    entry is below ``JACOBI_TOL`` relative to its diagonal pair. Chosen
-    over a bidiagonalization path for the relative accuracy of small
-    singular values; ``cond2`` is tested against it.
-
-    Raises RuntimeError if ``JACOBI_MAX_SWEEPS`` sweeps do not converge.
-    """
-    a = _as_matrix(m)
-    rows, cols = a.shape
-    if rows < cols:
-        raise ValueError("jacobi_svd_values needs rows >= cols, got %d x %d" % (rows, cols))
-    if cols == 0:
-        return np.zeros(0)
-    # Rotating the rows of the pivoted R factor (columns of R^T) converges
-    # markedly faster than rotating R or the raw input and preserves the
-    # relative accuracy of small values.
-    w = np.array(_qrcp_r(_require_finite(a)).T, order="F")
-    if not _jacobi_sweeps(w, JACOBI_TOL, JACOBI_MAX_SWEEPS):
-        raise RuntimeError(
-            "one-sided Jacobi SVD did not converge within %d sweeps" % JACOBI_MAX_SWEEPS
-        )
-    return np.sort(np.linalg.norm(w, axis=0))[::-1].copy()
 
 
 # the Gram path measures only while every eigenvalue of I - A^T A lies
@@ -327,7 +230,8 @@ def _cond2_input(m):
     a = _as_matrix(m)
     if a.size == 0 or not np.any(a):
         raise ValueError("cond2 requires a nonzero matrix")
-    _require_finite(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("cond2 requires finite entries")
     if a.shape[0] < a.shape[1]:
         a = a.T
     return a, np.abs(a).max()
@@ -416,8 +320,8 @@ def cond2(m):
       relative amount bounded through the condition of R's row-scaled
       form (Demmel and Veselic, SIMAX 1992), the same bound that governs
       one-sided Jacobi on R^T, so sigma_min keeps the relative accuracy
-      of ``jacobi_svd_values`` at a fraction of its cost. An R^{-1} that
-      overflows reports inf.
+      of that Jacobi SVD, the tests' reference, at a fraction of its
+      cost. An R^{-1} that overflows reports inf.
     """
     a, a_max = _cond2_input(m)
     gram = _gram_cond2(a, a_max)
@@ -432,12 +336,13 @@ def cond2(m):
 def cond2_and_orthogonality_loss(m):
     """cond2(m) and ||I - m^T m||_2 from one ``eigvalsh`` of E = I - m^T m.
 
-    Bit for bit the pair ``cond2(m)``, ``blockqr.loss_of_orthogonality(m)``:
-    the loss is the largest |eigenvalue| of E, and where cond2 would take
+    The loss is the largest |eigenvalue| of E. Where cond2 would take
     its Gram path on the same E, its result comes from the same
-    eigenvalues. Otherwise (wide m, or E past GRAM_PATH_RADIUS) the
-    condition number is a full ``cond2`` call. Meant for an orthonormal
-    basis, whose two measurements share their spectrum.
+    eigenvalues, so the pair has the bits of ``cond2(m)`` and of a
+    separate ``eigvalsh``. Otherwise (wide m, or E past
+    GRAM_PATH_RADIUS) the condition number is a full ``cond2`` call.
+    Meant for an orthonormal basis, whose two measurements share their
+    spectrum.
     """
     a, a_max = _cond2_input(m)
     q = _as_matrix(m)

@@ -257,6 +257,9 @@ def _parse_mm_stream(fh):
     fields = size_line.split()
     if len(fields) != 3:
         _fail(lineno, "size line must be 'rows cols nnz'")
+    # int() would also read Python's digit underscores: 1_0 as 10
+    if "_" in size_line:
+        _fail(lineno, "size line must hold three integers")
     try:
         rows_n, cols_n, nnz = (int(f) for f in fields)
     except ValueError:
@@ -265,6 +268,8 @@ def _parse_mm_stream(fh):
         _fail(lineno, "matrix must be square, got %d x %d" % (rows_n, cols_n))
     if rows_n < 1:
         _fail(lineno, "matrix dimension must be positive")
+    if nnz < 0:
+        _fail(lineno, "entry count must be nonnegative")
 
     if not fh.seekable():
         fh = io.StringIO(fh.read())
@@ -286,10 +291,9 @@ def _read_entries(fh, lineno, n, nnz):
 
     ``lineno`` is the line number of the size line. One ``np.loadtxt``
     over the stream parses well-formed input, and the checks run on
-    whole arrays. Input that fails any of them (or that only Python's
-    own number syntax accepts, such as digit underscores, or that has
-    comment lines) is read again by the line scan, which names the first
-    offending line.
+    whole arrays. Input that fails any of them (or that has comment
+    lines) is read again by the line scan, which names the first
+    offending line. Neither accepts Python's digit underscores.
     """
     start = fh.tell()
     with warnings.catch_warnings():
@@ -321,6 +325,8 @@ def _scan_entries(lines, lineno, n, nnz):
         fields = stripped.split()
         if len(fields) != 3:
             _fail(lineno, "entry must be 'i j value'")
+        if "_" in stripped:
+            _fail(lineno, "malformed entry %r" % stripped)
         try:
             i = int(fields[0])
             j = int(fields[1])

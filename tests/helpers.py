@@ -1,8 +1,11 @@
 """Shared test utilities: seeded matrix builders, subspace comparison and
-a condition-number reference.
+the references for condition numbers, singular values and orthogonality.
 
 Deliberately built on numpy.linalg and scipy's LAPACK (not on the package
-under test) so the checks stay independent of the code they verify.
+under test) so the checks stay independent of the code they verify. The
+one deliberate use of package code is ``dense._qrcp_r``: the Jacobi
+reference runs on the rows of the same pivoted R whose inverse ``cond2``
+takes, so the two share that factor and differ only in what follows it.
 The convection-diffusion stencil is the benchmark's own generator, so
 tests and benchmark run the one matrix.
 """
@@ -12,6 +15,8 @@ import os
 
 import numpy as np
 from scipy.linalg.lapack import dgejsv
+
+from sstep_gmres import dense
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -107,3 +112,31 @@ def assert_cond_within_u_kappa(m, got, c):
         assert kappa * (1.0 + tol) >= 1.0 / (4.0 * np.sqrt(rows) * UNIT_ROUNDOFF), kappa
     else:
         assert abs(got / kappa - 1.0) <= tol, (got, kappa, abs(got / kappa - 1.0) / tol)
+
+
+def jacobi_svd_values(m):
+    """Singular values of m (rows >= cols), descending, by one-sided Jacobi.
+
+    LAPACK's dgejsv (JOBA = 'C', no singular vectors) on the rows of
+    m's pivoted R factor, ``dense._qrcp_r``; the values are dgejsv's SVA
+    times its documented SCALE = WORK(2) / WORK(1).
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError("jacobi_svd_values needs rows >= cols, got shape %r" % (a.shape,))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("singular values require finite entries")
+    if a.shape[1] == 0:
+        return np.zeros(0)
+    sva, _, _, work, _, info = dgejsv(dense._qrcp_r(a).T, joba=0, jobu=3, jobv=3)
+    assert info == 0, "dgejsv failed with info %d" % info
+    return sva * (work[1] / work[0])
+
+
+def loss_of_orthogonality(q):
+    """|| I - Q^T Q ||_2 of the given columns, from one ``eigvalsh``."""
+    q = np.asarray(q)
+    if q.size == 0:
+        return 0.0
+    ev = np.linalg.eigvalsh(np.eye(q.shape[1]) - q.T @ q)
+    return float(max(-ev[0], ev[-1]))

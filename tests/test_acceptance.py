@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sstep_gmres.blockqr import QrState, bcgsi_plus_step, loss_of_orthogonality
+from sstep_gmres.blockqr import QrState, bcgsi_plus_step
 from sstep_gmres.cli import main
-from sstep_gmres.dense import UNIT_ROUNDOFF, jacobi_svd_values
+from sstep_gmres.dense import UNIT_ROUNDOFF
 from sstep_gmres.diagnostics import read_csv
 from sstep_gmres.solver import SolverConfig, _LeastSquares, solve
 from sstep_gmres.sparse import (
@@ -32,7 +32,14 @@ from sstep_gmres.sparse import (
 )
 from sstep_gmres.arnoldi import ArnoldiState, OperatorSet, classical_step, modified_step
 
-from helpers import matrix_with_cond, max_principal_angle, rng, stencil_coo
+from helpers import (
+    jacobi_svd_values,
+    loss_of_orthogonality,
+    matrix_with_cond,
+    max_principal_angle,
+    rng,
+    stencil_coo,
+)
 
 SUITESPARSE_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "suitesparse")
 
@@ -244,20 +251,30 @@ def test_criterion_6_unstable_basis_example():
     modified = run(3, "modified", "monomial")
     assert modified.backward_error <= 1e-13
 
-    stagnation = []
+    # the paper's bad case: every sub-block below 1e10 while B~ is
+    # ill conditioned and the backward error stalls
+    stalls = []
     for basis_kind in ("monomial", "newton", "chebyshev"):
         res = run(4, "classical", basis_kind)
+        sub = max(r.cond_B_subblock for r in res.records)
+        whole = max(r.cond_B_tilde for r in res.records)
+        assert sub < 1e10, (basis_kind, sub)
+        assert whole >= 1e10, (basis_kind, whole)
         assert res.backward_error >= 1e-7, (basis_kind, res.backward_error)
-        stagnation.append(res.backward_error)
+        stalls.append(
+            "%s %.1e (sub-block cond %.1e, B~ cond %.1e, %s in cycle %d)"
+            % (basis_kind, res.backward_error, sub, whole, res.status, res.cycles)
+        )
     report(
         6,
         "classical s=3 stalls at %.2e with cond %.2e, modified reaches %.2e, "
-        "classical s=4 stalls at %s"
+        "classical s=4 stalls at %s; a run that stops in cycle 1 does not "
+        "exercise the claim's 'even with restart' half"
         % (
             classical.backward_error,
             max_cond,
             modified.backward_error,
-            ["%.1e" % e for e in stagnation],
+            "; ".join(stalls),
         ),
     )
 

@@ -14,13 +14,19 @@ from sstep_gmres.arnoldi import (
     truncate_after_breakdown,
 )
 from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
-from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step, loss_of_orthogonality
+from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step
 from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, gram_cond2, householder_qr
 from sstep_gmres.diagnostics import CandidateFactor, basis_condition_numbers
 from sstep_gmres.solver import SolverConfig, _resolve_basis
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
-from helpers import clustered_spectrum_matrix, matrix_with_cond, max_principal_angle, rng
+from helpers import (
+    clustered_spectrum_matrix,
+    loss_of_orthogonality,
+    matrix_with_cond,
+    max_principal_angle,
+    rng,
+)
 
 
 def identity_ops(a):

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from sstep_gmres.blockqr import (
-    QrState,
-    bcgsi_plus_step,
-    bmgs_step,
-    loss_of_orthogonality,
-)
+from sstep_gmres.blockqr import QrState, bcgsi_plus_step, bmgs_step
 
-from helpers import matrix_with_cond, max_principal_angle, rng
+from helpers import loss_of_orthogonality, matrix_with_cond, max_principal_angle, rng
 
 
 def run_blocks(step, x, widths):

@@ -190,6 +190,17 @@ class TestUsageErrors:
         assert "error: zero diagonal entry at row 0" in err
         assert "Traceback" not in err
 
+    def test_out_of_memory_is_an_input_error(self, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+        monkeypatch.setattr(cli, "parse_matrix_market", too_large)
+        path = os.path.join(FIXTURES, "identity_4.mtx")
+        code, out, err = run(capsys, "solve", "--matrix", path)
+        assert code == 1
+        assert out == ""
+        assert err == "error: Unable to allocate 32.0 GiB for an array\n"
+
     def test_infinite_kappa_rejected(self, capsys, tmp_path):
         out = str(tmp_path / "m.mtx")
         code, _, err = run(capsys, "gen", "--randsvd", "6,inf,3,1", "--out", out)

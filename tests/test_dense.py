@@ -14,14 +14,12 @@ from sstep_gmres.dense import (
     cond2,
     frobenius_norm,
     householder_qr,
-    jacobi_svd_values,
     project_out,
-    _round_robin_schedule,
 )
 from sstep_gmres.solver import SolverConfig, solve
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
-from helpers import assert_cond_within_u_kappa, matrix_with_cond, rng
+from helpers import assert_cond_within_u_kappa, jacobi_svd_values, matrix_with_cond, rng
 
 
 def bidiagonal_svd_oracle(m):
@@ -179,18 +177,6 @@ class TestHouseholderQrContract:
         assert np.linalg.norm(q @ r - m) <= 1e-14 * np.linalg.norm(m)
 
 
-class TestRoundRobinSchedule:
-    @pytest.mark.parametrize("k", [2, 3, 4, 7, 10, 31])
-    def test_rounds_are_disjoint_and_cover_each_pair_once(self, k):
-        ip, iq = _round_robin_schedule(k)
-        assert ip.shape == iq.shape == (k - 1 + k % 2, k // 2)
-        pairs = []
-        for p, q in zip(ip, iq):
-            assert len(set(p) | set(q)) == 2 * len(p)
-            pairs += [tuple(sorted(pq)) for pq in zip(p.tolist(), q.tolist())]
-        assert sorted(pairs) == [(a, b) for a in range(k) for b in range(a + 1, k)]
-
-
 def rotate(a, b):
     """(a, b) rotated by the Givens pair that zeros b against a."""
     c, s = compute_givens(a, b)
@@ -291,11 +277,6 @@ class TestJacobiSvd:
         with pytest.raises(ValueError):
             jacobi_svd_values(m)
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(dense, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(RuntimeError, match="did not converge within 0 sweeps"):
-            jacobi_svd_values(rng(1).standard_normal((12, 12)))
-
 
 def near_orthonormal(rows, cols, radius, seed):
     """U diag(sigma) V^T with every sigma^2 drawn from [1 - radius, 1 + radius]."""
@@ -361,15 +342,14 @@ class TestCond2:
             with pytest.raises(ValueError):
                 cond2(m)
 
-    def test_rank_loss_settled_by_pivoted_r(self, monkeypatch):
-        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
+    def test_rank_loss_settled_by_pivoted_r(self):
         g = rng(5)
         v = g.standard_normal((30, 1))
         lost = np.hstack([g.standard_normal((30, 3)), v, 3.0 * v, g.standard_normal((30, 2))])
         assert cond2(lost) == np.inf
         assert cond2(lost.T) == np.inf
         # full rank, however ill conditioned, is measured from the pivoted
-        # R and its inverse, without Jacobi
+        # R and its inverse
         m = matrix_with_cond(40, 6, 1e12, seed=6)
         assert_reaches_pivoted_r(m)
         assert abs(cond2(m) / 1e12 - 1.0) <= 1e-3
@@ -417,7 +397,6 @@ class TestCond2GramPath:
         m = q + 1e-8 * g.standard_normal((300, 150))
         want = jacobi_cond(m)
         monkeypatch.setattr(dense, "_qrcp_r", _raise)
-        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         got = cond2(m)
         assert 1.0 < got < 1.0 + 1e-6
         assert abs(got / want - 1.0) <= 8 * (300 + 150) * UNIT_ROUNDOFF
@@ -435,19 +414,17 @@ class TestCond2GramPath:
         if wide:
             m = m.T
         want = jacobi_cond(m)
-        with mock.patch.object(dense, "_qrcp_r", _raise), \
-                mock.patch.object(dense, "_jacobi_sweeps", _raise):
+        with mock.patch.object(dense, "_qrcp_r", _raise):
             got = cond2(m)
         assert abs(got / want - 1.0) <= 8 * (rows + cols) * UNIT_ROUNDOFF
 
-    def test_large_gram_entries_reach_pivoted_r(self, monkeypatch):
+    def test_large_gram_entries_reach_pivoted_r(self):
         # 2Q: I - A^T A = -3I fails the entry test
         q, _ = np.linalg.qr(rng(51).standard_normal((40, 6)))
         assert_reaches_pivoted_r(2.0 * q)
-        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         assert abs(cond2(2.0 * q) - 1.0) <= 1e-14
 
-    def test_small_entries_large_norm_reach_pivoted_r(self, monkeypatch):
+    def test_small_entries_large_norm_reach_pivoted_r(self):
         # A^T A = I - 0.6 * ones/6: every entry of I - A^T A is 0.1, yet
         # its 2-norm is 0.6, so the eigenvalue test sends it on
         k = 6
@@ -455,7 +432,6 @@ class TestCond2GramPath:
         q, _ = np.linalg.qr(rng(52).standard_normal((40, k)))
         m = q @ np.linalg.cholesky(gram).T
         assert_reaches_pivoted_r(m)
-        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         assert abs(cond2(m) / np.sqrt(1.0 / 0.4) - 1.0) <= 1e-13
 
     def test_rank_loss_with_small_gram_entries_is_inf(self):
@@ -498,15 +474,13 @@ class TestCond2PivotedRPath:
         m *= 10.0 ** rng(seed + 1).uniform(-6.0, 6.0, cols)
         if wide:
             m = m.T
-        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
-            got = cond2(m)
+        got = cond2(m)
         assert_agrees_with_jacobi(m, got)
 
     @pytest.mark.parametrize("n, finite", [(60, True), (90, False)])
     def test_kahan_matrix(self, n, finite):
         m = kahan(n)
-        with mock.patch.object(dense, "_jacobi_sweeps", _raise):
-            got = cond2(m)
+        got = cond2(m)
         assert np.isfinite(got) == finite
         assert_agrees_with_jacobi(m, got)
 
@@ -536,7 +510,6 @@ class TestCond2PivotedRPath:
             return measure(state, factor, valid_cols)
 
         monkeypatch.setattr(solver_module, "basis_condition_numbers", capture)
-        monkeypatch.setattr(dense, "_jacobi_sweeps", _raise)
         cfg = SolverConfig(s=16, arnoldi="classical", diag_every=1)
         res = solve(a, np.ones(200), config=cfg)
         monkeypatch.undo()

@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 import sstep_gmres.solver as solver_module
 from sstep_gmres import dense, diagnostics
-from sstep_gmres.blockqr import loss_of_orthogonality
 from sstep_gmres.dense import cond2, cond2_and_orthogonality_loss
 from sstep_gmres.diagnostics import (
     CSV_HEADER,
@@ -22,7 +21,13 @@ from sstep_gmres.diagnostics import (
 from sstep_gmres.solver import SolverConfig, solve
 from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
 
-from helpers import assert_cond_within_u_kappa, clustered_spectrum_matrix, matrix_with_cond, rng
+from helpers import (
+    assert_cond_within_u_kappa,
+    clustered_spectrum_matrix,
+    loss_of_orthogonality,
+    matrix_with_cond,
+    rng,
+)
 
 
 def sample_records():

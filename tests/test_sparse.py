@@ -87,6 +87,9 @@ class TestParse:
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n", "line 3"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n% c\n2 2 nan\n", "line 6"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n\n1 1 1.0\n2 3 1.0\n", "line 5"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", "line 2"),
+            ("%%MatrixMarket matrix coordinate real general\n% c\n1_0 1_0 1\n1 1 1.0\n", "line 3"),
+            ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1_0\n", "line 3"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):
@@ -119,7 +122,7 @@ class TestParse:
         plain = mm("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 10.0\n2 2 3.0\n")
         spaced = mm(
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
-            "% entries follow\n1 1 1_0\n\n2 2 3.0\n"
+            "% entries follow\n1 1 1e1\n\n2 2 3.0\n"
         )
         assert np.array_equal(spaced.to_dense(), plain.to_dense())
 

@@ -1,0 +1,40 @@
+"""The package imports nothing but the standard library, numpy and itself.
+
+README promises "Requires numpy only"; the test references may use scipy,
+the package may not.
+"""
+
+import ast
+import glob
+import os
+import sys
+
+import pytest
+
+PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "sstep_gmres")
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sstep_gmres"}
+
+
+def top_level_imports(path):
+    """(line, top-level module) of every absolute import in the file."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+SOURCES = sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py")))
+
+
+def test_sources_found():
+    assert os.path.join(PACKAGE_DIR, "dense.py") in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_imports_are_stdlib_numpy_or_the_package(path):
+    foreign = [(line, name) for line, name in top_level_imports(path) if name not in ALLOWED]
+    assert foreign == [], "%s imports outside stdlib and numpy: %r" % (path, foreign)
