@@ -63,7 +63,8 @@ class StepReport:
 
     Rank is not decided here: ``solve`` tests the fresh R diagonal
     entries of the shared factorization, the new block being
-    ``block_widths[-1]`` columns wide. ``projections`` and ``intra_qrs``
+    ``block_widths[-1]`` columns wide, against the scale that R's own
+    columns give W (see ``ArnoldiState``). ``projections`` and ``intra_qrs``
     count the work on top of the shared orthogonalization, so logs can
     show the near-doubling of QR cost in the modified variant.
     """
@@ -79,11 +80,10 @@ class ArnoldiState(QrState):
     ``q`` and ``r`` hold V and R, and ``block_widths`` the block layout:
     the seed column's block of width 1, then one entry per committed
     step. ``b_concat`` holds the candidate blocks B_k, which span the
-    solution update and feed the conditioning diagnostics;
-    ``w_colnorm2`` the squared norms of the W columns as they entered
-    the QR (the rank test scales against their running sum). Both have
-    one column per inner column, bounded by ``inner_cols`` as ``ncols``
-    bounds ``q`` and ``r`` (see ``QrState``).
+    solution update and feed the conditioning diagnostics. It has one
+    column per inner column, bounded by ``inner_cols`` as ``ncols``
+    bounds ``q`` and ``r`` (see ``QrState``). W itself is not kept: R's
+    columns 1.. carry its scale, which is what the rank test reads.
 
     ``solve`` keeps one state per solve and calls ``reset`` before it
     seeds each cycle, so a restart never holds two bases at once.
@@ -94,7 +94,6 @@ class ArnoldiState(QrState):
             raise ValueError("need 1 <= max_inner <= n")
         super().__init__(n, max_inner + 1)
         self.b_concat = np.zeros((n, max_inner), order="F")
-        self.w_colnorm2 = np.zeros(max_inner)
 
     @property
     def max_inner(self):
@@ -132,7 +131,6 @@ def _finish_step(state, ops, b, orth_step, w_known=(), projections=0, intra_qrs=
         w[:, j] = w_known[j] if j < len(w_known) else ops.left_inv(ops.matvec(b[:, j]))
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
-    state.w_colnorm2[start : start + width] = np.sum(w * w, axis=0)
     orth_step(state, w)
     return StepReport(projections, intra_qrs)
 

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dense import UNIT_ROUNDOFF
+from .sparse import reject_complex
 
 __all__ = [
     "ChebyshevBasis",
@@ -104,6 +105,7 @@ def compute_ritz_values(apply_operator, r, s):
     """
     if s < 1:
         raise ValueError("s must be positive, got %d" % s)
+    reject_complex(r, "start vector")
     r = np.asarray(r, dtype=float)
     beta = np.linalg.norm(r)
     if beta == 0.0:
@@ -219,6 +221,7 @@ def build_krylov_block(apply_op, v, s, kind):
 
     Returns an (n, width) array with width <= s.
     """
+    reject_complex(v, "v")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")

@@ -35,12 +35,12 @@ class QrState:
     entry rather than rejected up front.
 
     Storage is reused, not cleared, on one invariant: ``ncols`` bounds
-    every read of ``q`` and ``r`` (and a subclass's ``inner_cols`` every
-    read of its per-column buffers, as in ``ArnoldiState``), and a commit
-    writes its columns whole, ``r``'s down to the last row with +0.0
-    below the diagonal block. Whatever an earlier cycle or a truncated
-    block left past those bounds is never seen, so ``reset`` and a
-    truncation clear nothing.
+    every read of ``q`` and ``r`` (and ``ArnoldiState.inner_cols`` every
+    read of the candidates B~, the one per-column buffer that subclass
+    adds), and a commit writes its columns whole, ``r``'s down to the
+    last row with +0.0 below the diagonal block. Whatever an earlier
+    cycle or a truncated block left past those bounds is never seen, so
+    ``reset`` and a truncation clear nothing.
     """
 
     def __init__(self, n, max_cols):

@@ -42,7 +42,8 @@ from .basis import (
 from .blockqr import bcgsi_plus_step, bmgs_step
 from .dense import UNIT_ROUNDOFF, compute_givens, frobenius_norm
 from .diagnostics import CandidateFactor, IterationRecord, basis_condition_numbers
-from .sparse import CsrMatrix, _reject_complex, apply_preconditioner_inverse, spmv
+from .sparse import CsrMatrix, apply_preconditioner_inverse, reject_complex, spmv
+from .sparse import square_real_matrix
 
 __all__ = [
     "CONVERGED_STATUSES",
@@ -256,10 +257,7 @@ class _LeastSquares:
 def _system_operators(a):
     if isinstance(a, CsrMatrix):
         return (lambda x: spmv(a, x)), a.frobenius_norm(), a.n
-    _reject_complex(a, "matrix")
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = square_real_matrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return (lambda x: m @ x), frobenius_norm(m), m.shape[0]
@@ -280,7 +278,7 @@ def _resolve_basis(config, ritz_op, r, s):
 
 def _real_vector(v, name, n):
     """A float copy of v, which must be real, of shape (n,) and finite."""
-    _reject_complex(v, name)
+    reject_complex(v, name)
     v = np.array(v, dtype=float)
     if v.shape != (n,):
         raise ValueError("%s has wrong shape" % name)
@@ -382,10 +380,11 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             _check_finite(state.r_active)
 
             # rank test on the fresh R diagonal entries: basis column c
-            # added no direction if |R[c,c]| <= tol_h * ||W_1..W_c||_F
+            # added no direction if |R[c,c]| <= tol_h * ||W_1..W_c||_F,
+            # which [r | W] = V R with V orthonormal reads off R
             start = state.inner_cols - state.block_widths[-1]
             broke_at = None
-            w_cum = np.cumsum(state.w_colnorm2[: state.inner_cols])
+            w_cum = np.cumsum(np.square(state.r[: state.ncols, 1 : state.ncols]).sum(0))
             for c in range(start + 1, state.inner_cols + 1):
                 if abs(state.r[c, c]) <= tol_h * np.sqrt(w_cum[c - 1]):
                     broke_at = c

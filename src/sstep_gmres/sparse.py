@@ -32,10 +32,21 @@ class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; messages carry 1-based line numbers."""
 
 
-def _reject_complex(v, what):
-    # casting would keep only the real parts and describe a different system
+def reject_complex(v, what):
+    """Raise ValueError for complex ``v``, reading its dtype alone: a cast
+    would keep only the real parts and describe a different system."""
     if np.iscomplexobj(v):
         raise ValueError("%s must be real, not complex" % what)
+
+
+def square_real_matrix(a):
+    """``a`` as a float array; it must be real, 2-d and square. Finiteness
+    is for the caller to check."""
+    reject_complex(a, "matrix")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    return a
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class CsrMatrix:
     row_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _reject_complex(self.values, "matrix values")
+        reject_complex(self.values, "matrix values")
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
         object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -157,7 +168,7 @@ class SlotLayout:
 def csr_from_coo(n, rows, cols, vals):
     """Build CSR from unsorted coordinate data; duplicates are summed in
     input order."""
-    _reject_complex(vals, "matrix values")
+    reject_complex(vals, "matrix values")
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
@@ -181,13 +192,9 @@ def csr_from_coo(n, rows, cols, vals):
 
 def csr_from_dense(a):
     """CSR of a square real array, storing its nonzero entries."""
-    _reject_complex(a, "matrix values")
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("need a square matrix")
+    a = square_real_matrix(a)
     rows, cols = np.nonzero(a)
-    return csr_from_coo(n, rows, cols, a[rows, cols])
+    return csr_from_coo(a.shape[0], rows, cols, a[rows, cols])
 
 
 def parse_matrix_market(source, dense_fill=None):
@@ -203,12 +210,17 @@ def parse_matrix_market(source, dense_fill=None):
     positions is returned as an n x n ndarray instead, scattered from
     the entries without building the CSR form: the bits of the
     CsrMatrix's ``to_dense()``.
+
+    A size line that declares more than memory holds fails as a
+    ``MatrixMarketError`` naming that line, not as a ``MemoryError``.
     """
     if hasattr(source, "read"):
-        n, rows, cols, vals = _parse_mm_stream(source)
-    else:
-        with open(source, "r", encoding="ascii", errors="replace") as fh:
-            n, rows, cols, vals = _parse_mm_stream(fh)
+        return _parse_mm_stream(source, dense_fill)
+    with open(source, "r", encoding="ascii", errors="replace") as fh:
+        return _parse_mm_stream(fh, dense_fill)
+
+
+def _assemble(n, rows, cols, vals, dense_fill):
     if dense_fill is not None and dense_fill * rows.size >= n * n:
         # fewer entries than n^2 / d hold fewer distinct positions, so
         # this n^2-byte mask is at most d bytes per entry
@@ -225,7 +237,23 @@ def _fail(lineno, msg):
     raise MatrixMarketError("line %d: %s" % (lineno, msg))
 
 
-def _parse_mm_stream(fh):
+def _data_lines(lines, lineno):
+    """(line number, fields) of each line after line ``lineno`` that is
+    neither blank nor a comment, then (last line number, None). ``int``
+    and ``float`` read digit underscores (1_0 as 10) and any Unicode
+    digit, so a data line holding ``_`` or non-ASCII text fails here."""
+    for line in lines:
+        lineno += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        if "_" in stripped or not stripped.isascii():
+            _fail(lineno, "underscores and non-ASCII characters are not allowed")
+        yield lineno, stripped.split()
+    yield lineno, None
+
+
+def _parse_mm_stream(fh, dense_fill):
     header = fh.readline()
     if not header.startswith("%%MatrixMarket"):
         _fail(1, "missing %%MatrixMarket banner")
@@ -242,24 +270,12 @@ def _parse_mm_stream(fh):
     if sym not in ("general", "symmetric"):
         _fail(1, "unsupported symmetry %r (only general/symmetric)" % sym)
 
-    lineno = 1
-    size_line = None
     # readline, not iteration, keeps tell() usable for the entry section
-    for line in iter(fh.readline, ""):
-        lineno += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
+    lineno, fields = next(_data_lines(iter(fh.readline, ""), 1))
+    if fields is None:
         _fail(lineno, "missing size line")
-    fields = size_line.split()
     if len(fields) != 3:
         _fail(lineno, "size line must be 'rows cols nnz'")
-    # int() would also read Python's digit underscores: 1_0 as 10
-    if "_" in size_line:
-        _fail(lineno, "size line must hold three integers")
     try:
         rows_n, cols_n, nnz = (int(f) for f in fields)
     except ValueError:
@@ -273,14 +289,17 @@ def _parse_mm_stream(fh):
 
     if not fh.seekable():
         fh = io.StringIO(fh.read())
-    ri, ci, vv = _read_entries(fh, lineno, rows_n, nnz)
-
-    if sym == "symmetric":
-        off = ri != ci
-        ri = np.concatenate([ri, ci[off]])
-        ci = np.concatenate([ci, ri[:nnz][off]])
-        vv = np.concatenate([vv, vv[off]])
-    return rows_n, ri, ci, vv
+    try:
+        ri, ci, vv = _read_entries(fh, lineno, rows_n, nnz)
+        if sym == "symmetric":
+            off = ri != ci
+            ri = np.concatenate([ri, ci[off]])
+            ci = np.concatenate([ci, ri[:nnz][off]])
+            vv = np.concatenate([vv, vv[off]])
+        return _assemble(rows_n, ri, ci, vv, dense_fill)
+    except MemoryError:
+        _fail(lineno, "a %d x %d matrix of %d entries does not fit in memory"
+              % (rows_n, rows_n, nnz))
 
 
 _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -293,7 +312,8 @@ def _read_entries(fh, lineno, n, nnz):
     over the stream parses well-formed input, and the checks run on
     whole arrays. Input that fails any of them (or that has comment
     lines) is read again by the line scan, which names the first
-    offending line. Neither accepts Python's digit underscores.
+    offending line. Neither accepts digit underscores or non-ASCII
+    digits.
     """
     start = fh.tell()
     with warnings.catch_warnings():
@@ -315,24 +335,19 @@ def _scan_entries(lines, lineno, n, nnz):
     ci = np.empty(nnz, dtype=np.int64)
     vv = np.empty(nnz, dtype=float)
     seen = 0
-    for line in lines:
-        lineno += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for lineno, fields in _data_lines(lines, lineno):
+        if fields is None:
+            break
         if seen >= nnz:
             _fail(lineno, "more entries than the declared %d" % nnz)
-        fields = stripped.split()
         if len(fields) != 3:
             _fail(lineno, "entry must be 'i j value'")
-        if "_" in stripped:
-            _fail(lineno, "malformed entry %r" % stripped)
         try:
             i = int(fields[0])
             j = int(fields[1])
             v = float(fields[2])
         except ValueError:
-            _fail(lineno, "malformed entry %r" % stripped)
+            _fail(lineno, "malformed entry %r" % " ".join(fields))
         if not (1 <= i <= n) or not (1 <= j <= n):
             _fail(lineno, "index (%d, %d) out of range for n=%d" % (i, j, n))
         if not np.isfinite(v):
@@ -359,7 +374,7 @@ def write_matrix_market(a, sink):
     parse(write(a)) reproduces them bit for bit.
     """
     if not isinstance(a, CsrMatrix):
-        a = csr_from_dense(np.asarray(a, dtype=float))
+        a = csr_from_dense(a)
     own = not hasattr(sink, "write")
     fh = open(sink, "w", encoding="ascii") if own else sink
     try:
@@ -396,6 +411,7 @@ def spmv(a, x):
     in their order. No BLAS call is made, so the result does not depend
     on the BLAS thread count.
     """
+    reject_complex(x, "x")
     x = np.asarray(x, dtype=float)
     if x.shape != (a.n,):
         raise ValueError("vector length %r does not match n=%d" % (x.shape, a.n))
@@ -422,7 +438,7 @@ class Preconditioner:
     diag: np.ndarray
 
     def __post_init__(self):
-        _reject_complex(self.diag, "jacobi preconditioner diagonal")
+        reject_complex(self.diag, "jacobi preconditioner diagonal")
         d = np.asarray(self.diag, dtype=float)
         if np.any(d == 0.0) or not np.all(np.isfinite(d)):
             raise ValueError("jacobi preconditioner needs a nonzero finite diagonal")
@@ -436,11 +452,7 @@ def jacobi_preconditioner(a):
     if isinstance(a, CsrMatrix):
         d = a.diagonal()
     else:
-        _reject_complex(a, "matrix values")
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square matrix")
-        d = np.diag(a).copy()
+        d = np.diag(square_real_matrix(a)).copy()
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise ValueError("zero diagonal entry at row %d" % int(zero[0]))

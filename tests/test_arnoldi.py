@@ -18,7 +18,12 @@ from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step
 from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, gram_cond2, householder_qr
 from sstep_gmres.diagnostics import CandidateFactor, basis_condition_numbers
 from sstep_gmres.solver import SolverConfig, _resolve_basis
-from sstep_gmres.sparse import RandSvdSpec, gen_randsvd
+from sstep_gmres.sparse import (
+    RandSvdSpec,
+    apply_preconditioner_inverse,
+    gen_randsvd,
+    jacobi_preconditioner,
+)
 
 from helpers import (
     clustered_spectrum_matrix,
@@ -52,8 +57,10 @@ def hess_from_state(state):
 
 def first_dead_r_diagonal(state, tol_h):
     """The rank test of ``solve``: first basis column c >= 1 whose |R[c, c]|
-    is at most tol_h * ||W_1..W_c||_F, or None."""
-    w_cum = np.sqrt(np.cumsum(state.w_colnorm2[: state.inner_cols]))
+    is at most tol_h * ||W_1..W_c||_F, that norm read off R's columns
+    1..c, or None."""
+    w_cols = state.r[: state.ncols, 1 : state.ncols]
+    w_cum = np.sqrt(np.cumsum(np.sum(w_cols * w_cols, axis=0)))
     for c in range(1, state.inner_cols + 1):
         if abs(state.r[c, c]) <= tol_h * w_cum[c - 1]:
             return c
@@ -97,7 +104,7 @@ class TestClassicalStep:
         assert state.inner_cols == 6
         assert state.ncols == 7
         assert state.block_widths == [1, 3, 3]
-        assert np.all(state.w_colnorm2[:6] > 0)
+        assert np.all(np.linalg.norm(state.r[:7, 1:7], axis=0) > 0)
 
     def test_last_block_capped_by_capacity(self):
         a = matrix_with_cond(12, 12, 10.0, seed=9)
@@ -175,8 +182,7 @@ class TestClassicalStep:
                 runs.append((state, len(applies)))
             (got, got_applies), (want, want_applies) = runs
             assert (got_applies, want_applies) == (3 * 4, 3 * 7)
-            for field in ("b_concat", "w_colnorm2"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.b_concat.tobytes() == want.b_concat.tobytes()
             assert got.q.tobytes() == want.q.tobytes()
             assert got.r.tobytes() == want.r.tobytes()
 
@@ -418,6 +424,65 @@ class TestCandidateConditioningProperty:
             assert cond2(b_cols) <= bound
             if first_dead_r_diagonal(state, np.sqrt(n) * UNIT_ROUNDOFF) is not None:
                 break
+
+
+# c0 of the bound below: the largest ``w_norm_excess`` seen in a sweep of
+# 18000 random cases over the test's ranges was 0.84
+W_NORM_C0 = 2.0
+
+
+def w_norm_excess(state, w):
+    """How far ||W_1..W_c||_F^2 and ||R[:, 1..c]||_F^2 differ beyond
+    ||I - V^T V||_2 ||R[:, 1..c]||_F^2, in units of n u ||R[:, 1..c]||_F^2,
+    maximized over c."""
+    p = state.ncols
+    v = state.q_active
+    loss = np.linalg.norm(np.eye(p) - v.T @ v, 2)
+    r_cols = state.r[:p, 1:p]
+    r2 = np.cumsum(np.sum(r_cols * r_cols, axis=0))
+    w2 = np.cumsum(np.sum(w * w, axis=0))
+    return float(np.max((np.abs(w2 - r2) / r2 - loss) / (state.n * UNIT_ROUNDOFF)))
+
+
+def run_checking_w_norms(n, cond, seed, s, step_fn, orth, jacobi):
+    """A cycle run until the rank test fires or the space is full,
+    yielding ``w_norm_excess`` after every block step, with W recomputed
+    as M^{-1} A B from the stored candidates one column at a time, as
+    the step applies the operator (a GEMM rounds differently, and where
+    M^{-1} A b cancels that difference swamps the roundoff measured)."""
+    a = matrix_with_cond(n, n, cond, seed=seed)
+    prec = jacobi_preconditioner(a) if jacobi else None
+    mv = lambda x: a @ x
+    left = lambda x: apply_preconditioner_inverse(prec, x)
+    ops = OperatorSet(mv, left, basis_op=mv)
+    state = ArnoldiState(n, n)
+    state.seed(left(rng(seed + 1).standard_normal(n)), orth)
+    while state.inner_cols < n:
+        step_fn(state, ops, MonomialBasis(), s, orth)
+        w = np.column_stack([ops.system_op(b) for b in state.b_columns().T])
+        yield w_norm_excess(state, w)
+        if first_dead_r_diagonal(state, np.sqrt(n) * UNIT_ROUNDOFF) is not None:
+            return
+
+
+class TestRankTestScale:
+    """The rank test reads ||W_1..W_c||_F off R's columns 1..c, which
+    [r | W] = V R gives up to V's loss of orthogonality and roundoff."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 48),
+        cond=st.sampled_from([1e2, 1e6, 1e10]),
+        seed=st.integers(0, 2**16),
+        s=st.integers(1, 6),
+        step_fn=st.sampled_from([classical_step, modified_step]),
+        orth=st.sampled_from([bcgsi_plus_step, bmgs_step]),
+        jacobi=st.booleans(),
+    )
+    def test_r_columns_carry_the_w_norms(self, n, cond, seed, s, step_fn, orth, jacobi):
+        # |‖W_1..W_c‖² − ‖R[:, 1..c]‖²| <= (‖I − VᵀV‖₂ + c0 n u) ‖R[:, 1..c]‖²
+        for excess in run_checking_w_norms(n, cond, seed, s, step_fn, orth, jacobi):
+            assert excess <= W_NORM_C0
 
 
 class TestBreakdownHandling:

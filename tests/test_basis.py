@@ -174,6 +174,11 @@ class TestRitzValues:
         with pytest.raises(ValueError, match="zero"):
             compute_ritz_values(lambda x: x, np.zeros(4), 2)
 
+    def test_complex_start_vector_rejected(self):
+        # a cast would warm up from the real part alone
+        with pytest.raises(ValueError, match="must be real"):
+            compute_ritz_values(lambda x: x, np.ones(4) + 1.0j, 2)
+
     def test_s_larger_than_dimension_pads(self):
         a = np.diag([1.0, 3.0])
         ritz = compute_ritz_values(lambda x: a @ x, np.ones(2), 5)
@@ -385,6 +390,10 @@ class TestBuildKrylovBlock:
             build_krylov_block(lambda x: x, np.ones(3), 2, "monomial")
         with pytest.raises(ValueError, match="positive"):
             build_krylov_block(lambda x: x, np.ones(3), 0, MonomialBasis())
+
+    def test_complex_start_vector_rejected(self):
+        with pytest.raises(ValueError, match="must be real"):
+            build_krylov_block(lambda x: x, np.ones(3) + 0.0j, 2, MonomialBasis())
 
 
 def _rotation_plus_diag():

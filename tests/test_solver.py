@@ -624,7 +624,7 @@ class PoisonedState(ArnoldiState):
 
     def reset(self):
         super().reset()
-        for buf in (self.q, self.r, self.b_concat, self.w_colnorm2):
+        for buf in (self.q, self.r, self.b_concat):
             buf.fill(np.nan)
 
 
@@ -727,10 +727,7 @@ class TestRestartInPlace:
         spmv(a, b)  # the CSR slot layout is built outside the measurement
         config = SolverConfig(s=2, restart=60, tol=1e-30, max_outer=3, diag_every=10**6)
         state = ArnoldiState(a.n, 60)
-        one_state = sum(
-            buf.nbytes
-            for buf in (state.q, state.r, state.b_concat, state.w_colnorm2)
-        )
+        one_state = sum(buf.nbytes for buf in (state.q, state.r, state.b_concat))
         del state
         tracemalloc.start()
         try:

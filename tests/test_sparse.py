@@ -90,10 +90,27 @@ class TestParse:
             ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", "line 2"),
             ("%%MatrixMarket matrix coordinate real general\n% c\n1_0 1_0 1\n1 1 1.0\n", "line 3"),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1_0\n", "line 3"),
+            # int and float read any Unicode decimal digit
+            ("%%MatrixMarket matrix coordinate real general\n"
+             "\u0661 \u0661 \u0661\n\u0661 \u0661 \u0665\n", "line 2"),
+            ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \u0665\n", "line 3"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(MatrixMarketError, match=fragment):
+            mm(text)
+
+    def test_size_line_too_large_for_memory(self, monkeypatch):
+        # the allocation is simulated: n = 1e11 would ask for 745 GiB
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(sparse, "csr_from_coo", out_of_memory)
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n% c\n"
+            "100000000000 100000000000 1\n1 1 1.0\n"
+        )
+        with pytest.raises(MatrixMarketError, match="line 3: .* does not fit in memory"):
             mm(text)
 
     def test_bulk_parse_matches_line_scan(self):
@@ -248,6 +265,13 @@ class TestCsr:
         # a complex dtype with zero imaginary parts is still complex input
         with pytest.raises(ValueError, match="real"):
             csr_from_dense(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.float64(5.0), np.ones(3), np.ones((2, 3))])
+    def test_dense_builders_need_a_square_matrix(self, bad):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            csr_from_dense(bad)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            write_matrix_market(bad, io.StringIO())
 
     def test_diagonal_extraction(self):
         dense = np.array([[2.0, 1.0], [0.0, 0.0]])
@@ -428,6 +452,12 @@ class TestSpmv:
         a = csr_from_dense(np.eye(3))
         with pytest.raises(ValueError):
             spmv(a, np.ones(4))
+
+    def test_complex_vector_rejected(self):
+        # a cast would drop the imaginary parts and return [1, 2, 3]
+        a = csr_from_dense(np.eye(3))
+        with pytest.raises(ValueError, match="must be real"):
+            spmv(a, np.array([1.0 + 1.0j, 2.0, 3.0]))
 
 
 class TestPreconditioner:

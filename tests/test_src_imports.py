@@ -1,7 +1,10 @@
-"""The package imports nothing but the standard library, numpy and itself.
+"""The package imports nothing but the standard library, numpy and itself,
+and no module of it imports another's underscore names.
 
 README promises "Requires numpy only"; the test references may use scipy,
-the package may not.
+the package may not. A check that two modules share is given a public
+name in one of them, so the underscore marks what stays private to its
+module.
 """
 
 import ast
@@ -15,16 +18,30 @@ PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "s
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sstep_gmres"}
 
 
+def syntax_tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def top_level_imports(path):
     """(line, top-level module) of every absolute import in the file."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    for node in ast.walk(tree):
+    for node in ast.walk(syntax_tree(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module.split(".")[0]
+
+
+def private_imports(path):
+    """(line, name) of every underscore name imported from the package."""
+    for node in ast.walk(syntax_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "sstep_gmres"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
 
 
 SOURCES = sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py")))
@@ -38,3 +55,9 @@ def test_sources_found():
 def test_imports_are_stdlib_numpy_or_the_package(path):
     foreign = [(line, name) for line, name in top_level_imports(path) if name not in ALLOWED]
     assert foreign == [], "%s imports outside stdlib and numpy: %r" % (path, foreign)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_module_imports_another_modules_private_names(path):
+    private = list(private_imports(path))
+    assert private == [], "%s imports private names: %r" % (path, private)
