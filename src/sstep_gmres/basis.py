@@ -1,13 +1,18 @@
-"""Polynomial Krylov basis construction: monomial, Newton (Leja-ordered
-shifts), and Chebyshev (spectral ellipse) bases, plus the warm-up Ritz
-value estimation that parameterizes the latter two."""
+"""Polynomial Krylov bases (monomial, Newton with Leja-ordered shifts,
+Chebyshev on a spectral ellipse), the warm-up Ritz values that
+parameterize the latter two, and the one loop that builds a block.
 
-from dataclasses import dataclass
+Each basis carries its recurrence step ``next_column(w, cols, j,
+prev_norm)``: from w = op(k_{j-1}) and the norm that normalized k_{j-1}
+it returns the unnormalized column k_j; each class states its step.
+"""
+
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .dense import UNIT_ROUNDOFF
+from .dense import UNIT_ROUNDOFF, frobenius_norm
 from .sparse import reject_complex
 
 __all__ = [
@@ -24,24 +29,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """p_j = x^j; the natural power basis."""
+    """p_j = x^j; the natural power basis. Its step keeps the image w."""
+
+    def next_column(self, w, cols, j, prev_norm):
+        return w
 
 
 @dataclass(frozen=True)
 class NewtonBasis:
-    """p_j(x) = prod_{i<j} (x - shifts[i]); shifts consumed cyclically.
+    """p_j(x) = prod_{i<j} (x - shifts[i]); column j takes theta =
+    shifts[(j-1) % len(shifts)]. Step: w - Re(theta) k_{j-1}.
 
-    Complex shifts must appear in adjacent conjugate pairs (the two are
-    applied as one real quadratic) so every generated column stays real.
+    Complex shifts must appear in adjacent conjugate pairs so every
+    column stays real: the half that closes a pair (``closes_pair``)
+    also adds Im(theta)^2 / prev_norm * k_{j-2}, which completes the real
+    quadratic op^2 - 2 Re(theta) op + |theta|^2 (Bai, Hu & Reichel 1994).
     """
 
     shifts: tuple
+    closes_pair: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shifts = tuple(complex(z) for z in self.shifts)
         if not shifts:
             raise ValueError("newton basis needs at least one shift")
         object.__setattr__(self, "shifts", shifts)
+        closes = [False] * len(shifts)
         i = 0
         while i < len(shifts):
             z = shifts[i]
@@ -50,14 +63,27 @@ class NewtonBasis:
                     raise ValueError(
                         "complex shift %r lacks an adjacent conjugate" % (z,)
                     )
+                closes[i + 1] = True
                 i += 2
             else:
                 i += 1
+        object.__setattr__(self, "closes_pair", tuple(closes))
+
+    def next_column(self, w, cols, j, prev_norm):
+        i = (j - 1) % len(self.shifts)
+        # a conjugate has its partner's Re and Im^2 bit for bit
+        theta = self.shifts[i]
+        w = w - theta.real * cols[:, j - 1]
+        if self.closes_pair[i]:
+            w = w + theta.imag * theta.imag / prev_norm * cols[:, j - 2]
+        return w
 
 
 @dataclass(frozen=True)
 class ChebyshevBasis:
-    """Scaled Chebyshev polynomials on the ellipse (center, focal distance)."""
+    """Scaled Chebyshev polynomials on the ellipse (center d, focal
+    distance c). Step: (w - d k_0) / c at j = 1, else
+    (2/c)(w - d k_{j-1}) - k_{j-2} / prev_norm."""
 
     center: float
     focal: float
@@ -67,6 +93,15 @@ class ChebyshevBasis:
             raise ValueError(
                 "degenerate ellipse (focal = 0); fall back to the monomial basis"
             )
+
+    def next_column(self, w, cols, j, prev_norm):
+        w = w - self.center * cols[:, j - 1]
+        if j == 1:
+            return w / self.focal
+        return (2.0 / self.focal) * w - cols[:, j - 2] / prev_norm
+
+
+_BASIS_KINDS = (MonomialBasis, NewtonBasis, ChebyshevBasis)
 
 
 @dataclass(frozen=True)
@@ -227,73 +262,27 @@ def build_krylov_block(apply_op, v, s, kind):
         raise ValueError("v must be a vector")
     if s < 1:
         raise ValueError("s must be positive")
+    if not isinstance(kind, _BASIS_KINDS):
+        raise TypeError("unknown basis kind %r" % (kind,))
     n = v.size
     cols = np.zeros((n, s), order="F")
     cols[:, 0] = v
+    nrm = 1.0  # column 0 is v itself, unscaled
+    for j in range(1, s):
+        w = np.asarray(apply_op(cols[:, j - 1]), dtype=float)
+        raw = kind.next_column(w, cols, j, nrm)
+        nrm = _column_norm(raw)
+        if nrm == 0.0:
+            return cols[:, :j].copy()
+        cols[:, j] = raw / nrm
+    return cols
 
-    if isinstance(kind, MonomialBasis):
-        for j in range(1, s):
-            w = np.asarray(apply_op(cols[:, j - 1]), dtype=float)
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                return cols[:, :j].copy()
-            cols[:, j] = w / nrm
-        return cols
 
-    if isinstance(kind, NewtonBasis):
-        shifts = kind.shifts
-        t = 0
-        j = 1
-        while j < s:
-            theta = shifts[t % len(shifts)]
-            base = cols[:, j - 1]
-            w = np.asarray(apply_op(base), dtype=float) - theta.real * base
-            gamma = np.linalg.norm(w)
-            if gamma == 0.0:
-                return cols[:, :j].copy()
-            if theta.imag == 0.0:
-                cols[:, j] = w / gamma
-                t += 1
-                j += 1
-                continue
-            # conjugate pair applied as the real quadratic
-            # op^2 - 2 Re(theta) op + |theta|^2
-            stored = w / gamma
-            cols[:, j] = stored
-            t += 2
-            j += 1
-            if j >= s:
-                break
-            ratio = theta.imag * theta.imag / gamma
-            w2 = (
-                np.asarray(apply_op(stored), dtype=float)
-                - theta.real * stored
-                + ratio * base
-            )
-            nrm2 = np.linalg.norm(w2)
-            if nrm2 == 0.0:
-                return cols[:, :j].copy()
-            cols[:, j] = w2 / nrm2
-            j += 1
-        return cols
-
-    if isinstance(kind, ChebyshevBasis):
-        d, c = kind.center, kind.focal
-        # stored column j equals the true Chebyshev column divided by a
-        # running scale; prev_factor is the scale step of column j-1
-        prev_factor = 1.0
-        for j in range(1, s):
-            base = cols[:, j - 1]
-            w = np.asarray(apply_op(base), dtype=float) - d * base
-            if j == 1:
-                raw = w / c
-            else:
-                raw = (2.0 / c) * w - cols[:, j - 2] / prev_factor
-            nrm = np.linalg.norm(raw)
-            if nrm == 0.0:
-                return cols[:, :j].copy()
-            cols[:, j] = raw / nrm
-            prev_factor = nrm
-        return cols
-
-    raise TypeError("unknown basis kind %r" % (kind,))
+def _column_norm(x):
+    """``np.linalg.norm(x)``, or the scale-safe ``frobenius_norm`` when
+    that falls outside (u, inf), where its squares may have overflowed."""
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.linalg.norm(x)
+    if UNIT_ROUNDOFF < nrm < np.inf:
+        return nrm
+    return frobenius_norm(x)

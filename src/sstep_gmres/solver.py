@@ -381,12 +381,16 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
             # rank test on the fresh R diagonal entries: basis column c
             # added no direction if |R[c,c]| <= tol_h * ||W_1..W_c||_F,
-            # which [r | W] = V R with V orthonormal reads off R
+            # which [r | W] = V R with V orthonormal reads off R; both
+            # sides are taken in units of 2^e > max |R|, so no square
+            # overflows and the comparison is exact
             start = state.inner_cols - state.block_widths[-1]
             broke_at = None
-            w_cum = np.cumsum(np.square(state.r[: state.ncols, 1 : state.ncols]).sum(0))
+            r_w = state.r[: state.ncols, 1 : state.ncols]
+            _, e = np.frexp(np.abs(r_w).max())
+            w_cum = np.cumsum(np.square(np.ldexp(r_w, -e)).sum(0))
             for c in range(start + 1, state.inner_cols + 1):
-                if abs(state.r[c, c]) <= tol_h * np.sqrt(w_cum[c - 1]):
+                if np.ldexp(abs(state.r[c, c]), -e) <= tol_h * np.sqrt(w_cum[c - 1]):
                     broke_at = c
                     break
 

@@ -237,11 +237,11 @@ def test_criterion_6_unstable_basis_example():
     mat = csr_from_dense(a)
     b = right_singular_vector(v, 4)
 
-    def run(s, arnoldi, basis):
+    def run(s, arnoldi, basis, x0=None):
         cfg = SolverConfig(
             s=s, basis=basis, arnoldi=arnoldi, restart=20, max_outer=5, diag_every=1
         )
-        return solve(mat, b, config=cfg)
+        return solve(mat, b, x0=x0, config=cfg)
 
     classical = run(3, "classical", "monomial")
     max_cond = max(r.cond_B_tilde for r in classical.records)
@@ -254,6 +254,7 @@ def test_criterion_6_unstable_basis_example():
     # the paper's bad case: every sub-block below 1e10 while B~ is
     # ill conditioned and the backward error stalls
     stalls = []
+    restarts = []
     for basis_kind in ("monomial", "newton", "chebyshev"):
         res = run(4, "classical", basis_kind)
         sub = max(r.cond_B_subblock for r in res.records)
@@ -265,16 +266,30 @@ def test_criterion_6_unstable_basis_example():
             "%s %.1e (sub-block cond %.1e, B~ cond %.1e, %s in cycle %d)"
             % (basis_kind, res.backward_error, sub, whole, res.status, res.cycles)
         )
+        # the claim's restart half: each run stops in its first cycle,
+        # so restart by hand, re-solving 8 times from the last iterate
+        history = [res.backward_error]
+        for _ in range(8):
+            res = run(4, "classical", basis_kind, x0=res.x)
+            history.append(res.backward_error)
+            if basis_kind == "monomial":
+                sub = max(r.cond_B_subblock for r in res.records)
+                assert sub < 1e10, sub
+                assert res.backward_error >= 1e-7, history
+        restarts.append(
+            "%s %s" % (basis_kind, " -> ".join("%.1e" % e for e in history))
+        )
     report(
         6,
         "classical s=3 stalls at %.2e with cond %.2e, modified reaches %.2e, "
-        "classical s=4 stalls at %s; a run that stops in cycle 1 does not "
-        "exercise the claim's 'even with restart' half"
+        "classical s=4 stalls at %s; restarted 8 times from its own x "
+        "(monomial asserted to stay at or above 1e-7): %s"
         % (
             classical.backward_error,
             max_cond,
             modified.backward_error,
             "; ".join(stalls),
+            "; ".join(restarts),
         ),
     )
 

@@ -131,6 +131,27 @@ class TestSolveCommand:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_matrix_near_the_float_limit_solves_like_its_scaled_twin(
+        self, capsys, tmp_path, s
+    ):
+        # diag(1e308, 5e307) squares past the float limit, both in the
+        # rank test's column sums and in the s = 2 Krylov column's norm;
+        # neither may warn nor change the run against diag(1, 0.5)
+        runs = []
+        for d1, d2 in ((1e308, 5e307), (1.0, 0.5)):
+            path = tmp_path / ("d%r.mtx" % d1)
+            lines = ["%%MatrixMarket matrix coordinate real general", "2 2 2"]
+            lines += ["1 1 %r" % d1, "2 2 %r" % d2]
+            path.write_text("\n".join(lines) + "\n")
+            code, out, err = run(
+                capsys, "solve", "--matrix", str(path), "--s", str(s), "--summary"
+            )
+            assert err == ""
+            got = dict(line.split(": ", 1) for line in out.strip().splitlines())
+            runs.append((code, got["status"], got["inner_iterations"]))
+        assert runs[0] == runs[1]
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -15,6 +15,9 @@ Run sets:
   kappa 1e6 and 1e10, modes 1, 3 and 5, s = 4, 8 and 16, monomial and
   Newton bases, both Arnoldi variants, restart 60, diagnostics every
   step;
+- ``bases``: 32 solves of randsvd n = 200 with b = ones, kappa 1e6 and
+  1e10, modes 3 and 5, s = 4 and 8, Newton and Chebyshev bases, both
+  Arnoldi variants, restart 60, diagnostics every step;
 - ``quick``: about a second of small solves, restarted and not, capped
   and not, both variants and both orthogonalizations, modified runs
   whose span budget cuts blocks, and one CLI run.
@@ -116,6 +119,20 @@ def randsvd_sweep(h, workloads):
                         _add_result(h, solve(a, np.ones(n), config=config))
 
 
+def bases(h, workloads):
+    n = 200
+    for kappa in (1e6, 1e10):
+        for mode in (3, 5):
+            a, _, _ = gen_randsvd(RandSvdSpec(n=n, kappa=kappa, mode=mode, seed=1))
+            for s in (4, 8):
+                for basis in ("newton", "chebyshev"):
+                    for arnoldi in ("classical", "modified"):
+                        config = SolverConfig(
+                            s=s, basis=basis, arnoldi=arnoldi, restart=60, diag_every=1
+                        )
+                        _add_result(h, solve(a, np.ones(n), config=config))
+
+
 QUICK_CONFIGS = (
     dict(s=4, basis="newton", restart=12, diag_every=1),
     dict(s=4, basis="newton", arnoldi="modified", orth="bmgs", restart=12, diag_every=1),
@@ -160,6 +177,7 @@ RUN_SETS = {
     "cli-randsvd": cli_randsvd,
     "randsvd-sweep": randsvd_sweep,
     "quick": quick,
+    "bases": bases,
 }
 
 
