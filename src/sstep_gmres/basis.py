@@ -8,7 +8,6 @@ it returns the unnormalized column k_j; each class states its step.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +16,8 @@ from .sparse import reject_complex
 
 __all__ = [
     "ChebyshevBasis",
-    "ChebyshevParams",
     "MonomialBasis",
     "NewtonBasis",
-    "RitzSet",
     "build_krylov_block",
     "chebyshev_params",
     "compute_ritz_values",
@@ -104,44 +101,25 @@ class ChebyshevBasis:
 _BASIS_KINDS = (MonomialBasis, NewtonBasis, ChebyshevBasis)
 
 
-@dataclass(frozen=True)
-class RitzSet:
-    """Warm-up Ritz values; closed under conjugation for real operators."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "values", vals)
-        key = np.lexsort((vals.imag, vals.real))
-        ckey = np.lexsort((np.conj(vals).imag, np.conj(vals).real))
-        if not np.array_equal(vals[key], np.conj(vals)[ckey]):
-            raise ValueError("ritz values must be closed under conjugation")
-
-
-class ChebyshevParams(NamedTuple):
-    center: float
-    focal: float
-
-    @property
-    def degenerate(self):
-        return self.focal == 0.0
-
-
 def compute_ritz_values(apply_operator, r, s):
-    """Ritz values from s steps of standard Arnoldi started at r.
+    """Ritz values from k <= min(s, n) steps of standard Arnoldi started
+    at r, as a complex array of length k.
 
     ``apply_operator`` must realize the preconditioned operator
-    x -> M^{-1} A x. The values are the eigenvalues of the Arnoldi
+    x -> M^{-1} A x. The values are the eigenvalues of the k x k Arnoldi
     Hessenberg matrix (LAPACK dgeev, whose complex values come in exact
-    conjugate pairs for real input). Early Arnoldi breakdown pads the
-    value list by repeating the last value (conjugate pairs are repeated
-    together so the set stays closed under conjugation).
+    adjacent conjugate pairs for real input). k < min(s, n) when Arnoldi
+    breaks down, its new direction below 100 u of the image's norm, as
+    it usually does when r lies in an invariant subspace of dimension k;
+    the k values are handed over as they are, and the Newton basis
+    cycles through them.
     """
     if s < 1:
         raise ValueError("s must be positive, got %d" % s)
     reject_complex(r, "start vector")
     r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("start vector must be finite")
     beta = np.linalg.norm(r)
     if beta == 0.0:
         raise ValueError("start vector is zero")
@@ -165,17 +143,7 @@ def compute_ritz_values(apply_operator, r, s):
         if hnext <= 100.0 * UNIT_ROUNDOFF * max(scale, 1e-300):
             break
         v[:, j + 1] = w / hnext
-    vals = list(np.linalg.eigvals(hess[:steps, :steps]).astype(complex))
-    while len(vals) < s:
-        last = vals[-1]
-        if last.imag != 0.0:
-            if s - len(vals) >= 2:
-                vals.extend([last, last.conjugate()])
-            else:
-                vals.append(complex(last.real))
-        else:
-            vals.append(last)
-    return RitzSet(np.array(vals[:s], dtype=complex))
+    return np.linalg.eigvals(hess[:steps, :steps]).astype(complex)
 
 
 def leja_order(values):
@@ -220,12 +188,14 @@ def leja_order(values):
 
 
 def chebyshev_params(values):
-    """Ellipse parameters (center d, focal distance c) enclosing the values.
+    """The pair (center d, focal distance c) of an ellipse enclosing the
+    values.
 
     d = midpoint of the real extent, a = real semi-axis, b = largest
     |imaginary part|; c = sqrt(a^2 - b^2) when a >= b, else the real
-    fallback c = a. focal == 0 (all values identical, or no real spread)
-    flags a degenerate ellipse; callers fall back to the monomial basis.
+    fallback c = a. Only the extents enter, so repeated values change
+    nothing. c == 0 (all values identical, or no real spread) is a
+    degenerate ellipse, on which the caller uses the monomial basis.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=complex))
     if vals.size == 0:
@@ -235,7 +205,7 @@ def chebyshev_params(values):
     a = 0.5 * (re.max() - re.min())
     b = np.abs(vals.imag).max()
     c = np.sqrt(a * a - b * b) if a >= b else a
-    return ChebyshevParams(float(d), float(c))
+    return float(d), float(c)
 
 
 def build_krylov_block(apply_op, v, s, kind):

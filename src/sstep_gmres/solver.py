@@ -264,16 +264,16 @@ def _system_operators(a):
 
 
 def _resolve_basis(config, ritz_op, r, s):
-    """Choose the cycle's polynomial basis from warm-up Ritz values."""
+    """The cycle's polynomial basis: Newton on the warm-up's Ritz values,
+    however many it found, in Leja order; Chebyshev on the ellipse around
+    them, or monomial where that ellipse has no focal spread."""
     if config.basis == "monomial" or s == 1:
         return MonomialBasis()
     ritz = compute_ritz_values(ritz_op, r, s)
     if config.basis == "newton":
-        return NewtonBasis(tuple(leja_order(ritz.values)))
-    params = chebyshev_params(ritz.values)
-    if params.degenerate:
-        return MonomialBasis()
-    return ChebyshevBasis(params.center, params.focal)
+        return NewtonBasis(tuple(leja_order(ritz)))
+    center, focal = chebyshev_params(ritz)
+    return ChebyshevBasis(center, focal) if focal else MonomialBasis()
 
 
 def _real_vector(v, name, n):
