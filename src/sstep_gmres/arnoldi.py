@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import build_krylov_block
 from .blockqr import QrState
-from .dense import UNIT_ROUNDOFF, householder_qr, project_out
+from .dense import UNIT_ROUNDOFF, frobenius_norm, householder_qr, project_out
 
 __all__ = [
     "ArnoldiState",
@@ -168,7 +168,7 @@ def _enforce_span_budget(state, attempted):
         col = state.b_concat[:, start + t]
         own = state.q[:, start : start + t + 1]
         _, resid = project_out(own, col[:, None])
-        if np.linalg.norm(resid) > budget:
+        if frobenius_norm(resid) > budget:
             truncate_after_breakdown(state, start + t)
             return
 
@@ -251,7 +251,7 @@ def modified_step(state, ops, basis, s, orth_step):
         # judged against K before projection, so that fully projected-out
         # columns are still recognized; the seed column enters with unit
         # norm and orthogonal to prev, so it cannot be the dead one
-        q = q[:, : _live_width(r, y.shape[0], np.linalg.norm(k))]
+        q = q[:, : _live_width(r, y.shape[0], frobenius_norm(k))]
         report = _finish_step(state, ops, q, orth_step, projections=2, intra_qrs=1)
         _enforce_span_budget(state, k.shape[1])
         return report

@@ -120,7 +120,7 @@ def compute_ritz_values(apply_operator, r, s):
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("start vector must be finite")
-    beta = np.linalg.norm(r)
+    beta = frobenius_norm(r)
     if beta == 0.0:
         raise ValueError("start vector is zero")
     n = r.size
@@ -132,15 +132,15 @@ def compute_ritz_values(apply_operator, r, s):
     for j in range(m):
         w = apply_operator(v[:, j])
         w = np.asarray(w, dtype=float)
-        scale = np.linalg.norm(w)
+        scale = frobenius_norm(w)
         for i in range(j + 1):
             hij = v[:, i] @ w
             w = w - hij * v[:, i]
             hess[i, j] = hij
-        hnext = np.linalg.norm(w)
+        hnext = frobenius_norm(w)
         hess[j + 1, j] = hnext
         steps = j + 1
-        if hnext <= 100.0 * UNIT_ROUNDOFF * max(scale, 1e-300):
+        if hnext <= 100.0 * UNIT_ROUNDOFF * scale:
             break
         v[:, j + 1] = w / hnext
     return np.linalg.eigvals(hess[:steps, :steps]).astype(complex)
@@ -241,18 +241,8 @@ def build_krylov_block(apply_op, v, s, kind):
     for j in range(1, s):
         w = np.asarray(apply_op(cols[:, j - 1]), dtype=float)
         raw = kind.next_column(w, cols, j, nrm)
-        nrm = _column_norm(raw)
+        nrm = frobenius_norm(raw)
         if nrm == 0.0:
             return cols[:, :j].copy()
         cols[:, j] = raw / nrm
     return cols
-
-
-def _column_norm(x):
-    """``np.linalg.norm(x)``, or the scale-safe ``frobenius_norm`` when
-    that falls outside (u, inf), where its squares may have overflowed."""
-    with np.errstate(over="ignore", under="ignore"):
-        nrm = np.linalg.norm(x)
-    if UNIT_ROUNDOFF < nrm < np.inf:
-        return nrm
-    return frobenius_norm(x)

@@ -357,13 +357,19 @@ def cond2_and_orthogonality_loss(m):
 def frobenius_norm(m):
     """||m||_F, with no overflow or underflow in the squared entries.
 
-    The entries are scaled by the power of two 2^-e that brings
-    max |m_ij| into [1/2, 1), summed as squares in one dot product
-    (the reduction ``np.linalg.norm`` makes) and scaled back. Powers of
-    two scale exactly, so input whose squares stay in the normal range
-    gets the bits of ``np.linalg.norm``. Empty or zero input gives 0.0.
+    numpy's one-pass norm is kept when it lies in (u, inf): an overflow
+    makes it inf, and above u the squares sum past 2^-106, far above the
+    2^-1074 underflow can take from each. Otherwise the entries are
+    scaled by the power of two that brings max |m_ij| into [1/2, 1),
+    summed the same way and scaled back; where neither path over- or
+    underflows the two agree to the bit. Empty or zero input gives 0.0.
     """
-    x = np.asarray(m, dtype=float).ravel(order="K")
+    x = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.linalg.norm(x)
+    if UNIT_ROUNDOFF < nrm < np.inf:
+        return float(nrm)
+    x = x.ravel(order="K")
     a_max = np.abs(x).max() if x.size else 0.0
     if a_max == 0.0:
         return 0.0

@@ -176,9 +176,10 @@ class SolveResult:
 
 
 def backward_error(matvec, a_fro, b, x):
-    """Normwise relative backward error ||Ax - b|| / (||A||_F ||x|| + ||b||)."""
-    resid = np.linalg.norm(matvec(x) - b)
-    denom = a_fro * np.linalg.norm(x) + np.linalg.norm(b)
+    """Normwise relative backward error ||Ax - b|| / (||A||_F ||x|| + ||b||),
+    its norms ``frobenius_norm``'s: no square of theirs over- or underflows."""
+    resid = frobenius_norm(matvec(x) - b)
+    denom = a_fro * frobenius_norm(x) + frobenius_norm(b)
     if denom == 0.0:
         return 0.0 if resid == 0.0 else np.inf
     return float(resid / denom)
@@ -299,7 +300,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     real and finite. ``preconditioner`` applies from the left. Returns a
     SolveResult whose records hold one diagnostics row per block step.
     Raises ArithmeticError when a residual, R factor, iterate or backward
-    error turns non-finite, rather than report a status for it.
+    error turns non-finite (never a norm alone: they are all
+    ``frobenius_norm``'s), rather than report a status for it.
     """
     config = config or SolverConfig()
     matvec, a_fro, n = _system_operators(a)
@@ -358,7 +360,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
         cycle += 1
         r = left_inv(b - matvec(x))
         _check_finite(r)
-        if np.linalg.norm(r) == 0.0:
+        if frobenius_norm(r) == 0.0:
             status = STATUS_CONVERGED_BACKWARD
             break
         if basis is None:
@@ -381,16 +383,12 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
             # rank test on the fresh R diagonal entries: basis column c
             # added no direction if |R[c,c]| <= tol_h * ||W_1..W_c||_F,
-            # which [r | W] = V R with V orthonormal reads off R; both
-            # sides are taken in units of 2^e > max |R|, so no square
-            # overflows and the comparison is exact
+            # which [r | W] = V R with V orthonormal reads off R
             start = state.inner_cols - state.block_widths[-1]
             broke_at = None
-            r_w = state.r[: state.ncols, 1 : state.ncols]
-            _, e = np.frexp(np.abs(r_w).max())
-            w_cum = np.cumsum(np.square(np.ldexp(r_w, -e)).sum(0))
             for c in range(start + 1, state.inner_cols + 1):
-                if np.ldexp(abs(state.r[c, c]), -e) <= tol_h * np.sqrt(w_cum[c - 1]):
+                w_norm = frobenius_norm(state.r[: c + 1, 1 : c + 1])
+                if abs(state.r[c, c]) <= tol_h * w_norm:
                     broke_at = c
                     break
 

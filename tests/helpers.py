@@ -39,6 +39,16 @@ def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def scale_probe_system():
+    """(A, b): A = 4I + 0.1 randn(50) and b = randn(50), from default_rng(0).
+
+    The system the scale tests multiply by powers of ten and of two.
+    """
+    g = np.random.default_rng(0)
+    a = 4.0 * np.eye(50) + 0.1 * g.standard_normal((50, 50))
+    return a, g.standard_normal(50)
+
+
 def matrix_with_cond(rows, cols, cond, seed, spread="geometric"):
     """rows x cols matrix with prescribed 2-norm condition number."""
     g = rng(seed)

@@ -6,12 +6,15 @@ the parser never calls sys.exit on usage errors, it reports and returns 1.
 
 import dataclasses
 import os
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sstep_gmres import cli
 from sstep_gmres.cli import main
+from sstep_gmres.dense import UNIT_ROUNDOFF
 from sstep_gmres.diagnostics import CSV_HEADER, read_csv, write_csv
 from sstep_gmres.solver import SolverConfig, solve
 from sstep_gmres.sparse import (
@@ -25,7 +28,7 @@ from sstep_gmres.sparse import (
     write_matrix_market,
 )
 
-from helpers import stencil_coo
+from helpers import scale_probe_system, stencil_coo
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -111,46 +114,109 @@ class TestSolveCommand:
         assert rows[-1]["stop_reason"] == summary["status"]
         assert all(row["stop_reason"] == "" for row in rows[:-1])
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
-    def test_overflowing_backward_error_exits_one(self, capsys, tmp_path, scale):
-        # the backward error of this system overflows to inf / inf = NaN;
-        # the run must fail instead of reporting a status
-        g = np.random.default_rng(0)
-        a = 4.0 * np.eye(50) + 0.1 * g.standard_normal((50, 50))
-        b = g.standard_normal(50)
-        matrix_path = str(tmp_path / "a.mtx")
-        rhs_path = str(tmp_path / "b.txt")
-        write_matrix_market(scale * a, matrix_path)
-        np.savetxt(rhs_path, scale * b)
+    def test_overflowing_operator_image_exits_one(self, capsys, tmp_path):
+        # A times the unit start vector ones / 2 overflows; the run must
+        # fail instead of reporting a status
+        path = tmp_path / "a.mtx"
+        entries = [
+            "%d %d %r" % (i, j, 1.7e308 if i == j else 1.5e308)
+            for i in range(1, 5)
+            for j in range(1, 5)
+        ]
+        lines = ["%%MatrixMarket matrix coordinate real general", "4 4 16"]
+        path.write_text("\n".join(lines + entries) + "\n")
         with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(
-                capsys, "solve", "--matrix", matrix_path,
-                "--rhs", "file:%s" % rhs_path, "--summary",
-            )
+            code, out, err = run(capsys, "solve", "--matrix", str(path), "--summary")
         assert code == 1
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_system_solves_like_the_unscaled_one(self, capsys, tmp_path, scale):
+        # the squares behind ||A||_F, ||x|| and ||A x - b|| overflow, the
+        # norms do not; the summary reads as the unscaled system's
+        a, b = scale_probe_system()
+        summaries = []
+        for factor in (1.0, scale):
+            matrix_path = str(tmp_path / ("a%r.mtx" % factor))
+            rhs_path = str(tmp_path / ("b%r.txt" % factor))
+            write_matrix_market(factor * a, matrix_path)
+            np.savetxt(rhs_path, factor * b)
+            code, out, err = run(
+                capsys, "solve", "--matrix", matrix_path,
+                "--rhs", "file:%s" % rhs_path, "--summary",
+            )
+            assert (code, err) == (0, "")
+            summaries.append(dict(line.split(": ", 1) for line in out.strip().splitlines()))
+        for key in ("status", "inner_iterations", "block_steps"):
+            assert summaries[1][key] == summaries[0][key]
+        assert float(summaries[1]["backward_error"]) <= 50 * UNIT_ROUNDOFF
+
     @pytest.mark.parametrize("s", [1, 2])
-    def test_matrix_near_the_float_limit_solves_like_its_scaled_twin(
+    def test_matrix_near_the_float_limit_matches_the_exact_backward_error(
         self, capsys, tmp_path, s
     ):
-        # diag(1e308, 5e307) squares past the float limit, both in the
-        # rank test's column sums and in the s = 2 Krylov column's norm;
-        # neither may warn nor change the run against diag(1, 0.5)
-        runs = []
-        for d1, d2 in ((1e308, 5e307), (1.0, 0.5)):
-            path = tmp_path / ("d%r.mtx" % d1)
-            lines = ["%%MatrixMarket matrix coordinate real general", "2 2 2"]
-            lines += ["1 1 %r" % d1, "2 2 %r" % d2]
-            path.write_text("\n".join(lines) + "\n")
-            code, out, err = run(
-                capsys, "solve", "--matrix", str(path), "--s", str(s), "--summary"
-            )
+        # diag(1e308, 5e307) squares past the float limit, and its x,
+        # about 1e-308, is subnormal; the run may not warn, its backward
+        # error must be the exact one of its x up to the rounding of
+        # evaluating it, and its status what that value says against tol
+        for diag in ((1e308, 5e307), (1.0, 0.5)):
+            path = diagonal_matrix_file(tmp_path, diag)
+            code, out, err = run(capsys, "solve", "--matrix", str(path), "--s", str(s), "--summary")
             assert err == ""
             got = dict(line.split(": ", 1) for line in out.strip().splitlines())
-            runs.append((code, got["status"], got["inner_iterations"]))
-        assert runs[0] == runs[1]
+            res = solve(np.diag(diag), np.ones(2), config=SolverConfig(s=s))
+            assert got["backward_error"] == repr(res.backward_error)
+            exact = exact_backward_error(np.diag(diag), np.ones(2), res.x)
+            assert abs(res.backward_error - exact) <= 32 * UNIT_ROUNDOFF
+            tol = 2 * UNIT_ROUNDOFF  # the default n u
+            assert got["status"] == (
+                "breakdown_converged" if exact <= tol else "key_dimension_reached"
+            )
+            assert code == (0 if exact <= tol else 2)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_power_of_two_twin_runs_like_the_unscaled_matrix(self, capsys, tmp_path, s, k):
+        # diag(2^k, 2^(k-1)) is diag(1, 0.5) scaled exactly: the same exit
+        # code and summary, and x scaled by 2^-k to the bit
+        outputs = []
+        for diag in ((1.0, 0.5), (2.0**k, 2.0 ** (k - 1))):
+            path = diagonal_matrix_file(tmp_path, diag)
+            code, out, err = run(capsys, "solve", "--matrix", str(path), "--s", str(s), "--summary")
+            assert err == ""
+            outputs.append((code, out))
+        assert outputs[1] == outputs[0]
+        config = SolverConfig(s=s)
+        twin = solve(np.diag([2.0**k, 2.0 ** (k - 1)]), np.ones(2), config=config)
+        plain = solve(np.diag([1.0, 0.5]), np.ones(2), config=config)
+        assert np.ldexp(twin.x, k).tobytes() == plain.x.tobytes()
+
+
+def diagonal_matrix_file(tmp_path, diag):
+    """A Matrix Market file holding the 2 x 2 matrix diag(diag)."""
+    path = tmp_path / ("d%r.mtx" % (diag,))
+    lines = ["%%MatrixMarket matrix coordinate real general", "2 2 2"]
+    lines += ["1 1 %r" % diag[0], "2 2 %r" % diag[1]]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def exact_backward_error(a, b, x):
+    """||A x - b|| / (||A||_F ||x|| + ||b||), the products and sums of
+    squares exact as fractions and the square roots to 40 digits."""
+    a, b, x = ([Fraction(v) for v in m.ravel()] for m in (a, b, x))
+    n = len(b)
+    resid = [sum(a[i * n + j] * x[j] for j in range(n)) - b[i] for i in range(n)]
+
+    def norm(v):
+        squares = sum(e * e for e in v)
+        return Decimal(squares.numerator) / Decimal(squares.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        value = norm(resid).sqrt() / (norm(a).sqrt() * norm(x).sqrt() + norm(b).sqrt())
+    return float(value)
 
 
 class TestUsageErrors:

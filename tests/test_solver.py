@@ -1,6 +1,7 @@
 """Tests for the s-step GMRES driver: least squares core, stopping
 statuses, restarts, preconditioning, and determinism."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 import sstep_gmres.arnoldi as arnoldi_module
@@ -17,6 +18,8 @@ from sstep_gmres.arnoldi import ArnoldiState
 from sstep_gmres.diagnostics import csv_text
 from sstep_gmres.dense import UNIT_ROUNDOFF, compute_givens
 from sstep_gmres.solver import (
+    ARNOLDI_CHOICES,
+    BASIS_CHOICES,
     SolveResult,
     SolverConfig,
     backward_error,
@@ -33,7 +36,13 @@ from sstep_gmres.sparse import (
     spmv,
 )
 
-from helpers import clustered_spectrum_matrix, matrix_with_cond, rng, stencil_coo
+from helpers import (
+    clustered_spectrum_matrix,
+    matrix_with_cond,
+    rng,
+    scale_probe_system,
+    stencil_coo,
+)
 
 
 def random_hessenberg_ls(p, seed, beta=1.0):
@@ -119,6 +128,10 @@ class TestLeastSquares:
         assert ls.ncols == p
         assert ls.t.tobytes() == np.asfortranarray(t_ref).tobytes()
         assert ls.g.tobytes() == g_ref.tobytes()
+
+
+def assert_same_run(res, ref):
+    assert (res.status, res.inner_iterations) == (ref.status, ref.inner_iterations)
 
 
 class TestSolveBasics:
@@ -278,19 +291,143 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="finite"):
             solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), b)
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
-    def test_overflowing_backward_error_raises(self, scale):
-        # ||A||_F and ||A x - b|| overflow, so the backward error is
-        # inf / inf; that NaN must raise rather than become a status
-        g = np.random.default_rng(0)
-        a = 4.0 * np.eye(50) + 0.1 * g.standard_normal((50, 50))
-        b = g.standard_normal(50)
+    def test_overflowing_operator_image_raises(self):
+        # A times the unit start vector ones / 2 overflows, so the first
+        # basis column's image is inf; the run must raise rather than
+        # report a status
+        a = np.full((4, 4), 1.5e308)
+        np.fill_diagonal(a, 1.7e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="non-finite"):
-                solve(scale * a, scale * b)
-        res = solve(a, b)
-        assert res.status == "converged_backward"
-        assert res.backward_error <= 50 * UNIT_ROUNDOFF
+                solve(a, np.ones(4))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_system_solves_like_the_unscaled_one(self, scale):
+        # the squares behind ||A||_F, ||x|| and ||A x - b|| overflow;
+        # the norms themselves do not, so neither does the backward error
+        a, b = scale_probe_system()
+        ref = solve(a, b)
+        assert ref.status == "converged_backward"
+        assert ref.backward_error <= 50 * UNIT_ROUNDOFF
+        res = solve(scale * a, scale * b)
+        assert_same_run(res, ref)
+        assert np.linalg.norm(res.x - ref.x) <= 50 * UNIT_ROUNDOFF * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SolverConfig(), SolverConfig(s=4, basis="newton"), SolverConfig(s=4, basis="chebyshev")],
+        ids=["default", "newton", "chebyshev"],
+    )
+    def test_tiny_right_hand_side_solves_like_the_unscaled_one(self, config):
+        # ||b 2^-600|| squares to below the smallest subnormal: a one-pass
+        # norm of r reads 0, which stopped the run at x = 0 and made the
+        # warm-up reject its start vector
+        a, b = scale_probe_system()
+        ref = solve(a, b, config=config)
+        res = solve(a, np.ldexp(b, -600), config=config)
+        assert_same_run(res, ref)
+        assert np.ldexp(res.x, 600).tobytes() == ref.x.tobytes()
+        assert res.backward_error == ref.backward_error
+
+    def test_tiny_matrix_solves_like_the_unscaled_one(self):
+        # x is about 1e160, so ||x||^2 overflows; a backward error that
+        # took it so read 0 and stopped the run early, with x off by 1e-3
+        a, b = scale_probe_system()
+        config = SolverConfig(s=4)
+        ref = solve(a, b, config=config)
+        res = solve(1e-160 * a, b, config=config)
+        assert_same_run(res, ref)
+        x = 1e-160 * res.x
+        assert np.linalg.norm(x - ref.x) <= 50 * UNIT_ROUNDOFF * np.linalg.norm(ref.x)
+
+
+# the first k at which A 2^k overflows the probe system's Newton shifts
+# (Im(theta)^2) or Chebyshev ellipse (a^2 - b^2): past 2^512 the squares
+# leave the float range
+WARM_UP_OVERFLOW_K = {"newton": 515, "chebyshev": 514}
+
+
+def probe_run(basis, arnoldi, storage="dense", a_exp=0, b_exp=0):
+    """solve(A 2^a_exp, b 2^b_exp) on the scale probe system."""
+    a, b = scale_probe_system()
+    a = np.ldexp(a, a_exp)
+    if storage == "csr":
+        a = csr_from_dense(a)
+    config = SolverConfig(s=4, basis=basis, arnoldi=arnoldi, restart=12)
+    return solve(a, np.ldexp(b, b_exp), config=config)
+
+
+@functools.lru_cache(maxsize=None)
+def probe_reference(basis, arnoldi, storage="dense"):
+    return probe_run(basis, arnoldi, storage)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling A or b by 2^k is exact, so the run scales with it: the
+    same status and inner iterations, and, while nothing it computes
+    leaves the normal range, x scaled by 2^-k or 2^k to the bit and the
+    same backward error."""
+
+    @settings(max_examples=60)
+    @given(
+        k=st.integers(-1000, 1000),
+        basis=st.sampled_from(BASIS_CHOICES),
+        arnoldi=st.sampled_from(ARNOLDI_CHOICES),
+        storage=st.sampled_from(["dense", "csr"]),
+    )
+    @example(k=-1000, basis="monomial", arnoldi="classical", storage="dense")
+    @example(k=-900, basis="chebyshev", arnoldi="modified", storage="csr")
+    @example(k=1000, basis="newton", arnoldi="classical", storage="dense")
+    def test_scaling_b(self, k, basis, arnoldi, storage):
+        ref = probe_reference(basis, arnoldi, storage)
+        res = probe_run(basis, arnoldi, storage, b_exp=k)
+        assert_same_run(res, ref)
+        # below 2^-900 entries of x and of the update near 2^-1022 round
+        # as subnormals
+        if k >= -900:
+            assert np.ldexp(res.x, -k).tobytes() == ref.x.tobytes()
+            assert res.backward_error == ref.backward_error
+
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        basis=st.sampled_from(BASIS_CHOICES),
+        arnoldi=st.sampled_from(ARNOLDI_CHOICES),
+        storage=st.sampled_from(["dense", "csr"]),
+    )
+    def test_scaling_a(self, data, basis, arnoldi, storage):
+        # the range past the warm-up's overflow is held below, as xfail
+        top = WARM_UP_OVERFLOW_K.get(basis, 1001) - 1
+        k = data.draw(st.integers(-1000, top), label="k")
+        ref = probe_reference(basis, arnoldi, storage)
+        res = probe_run(basis, arnoldi, storage, a_exp=k)
+        assert_same_run(res, ref)
+        # the Ritz values keep their bits only for even k well inside
+        # [-459, 459]: LAPACK's dgeev rescales a Hessenberg matrix whose
+        # largest entry lies outside about [2^-459, 2^459], and dlanv2
+        # takes a conjugate pair's imaginary part as sqrt(|b|) sqrt(|c|),
+        # which an odd power of two does not scale exactly
+        if basis == "monomial" or (abs(k) <= 400 and k % 2 == 0):
+            assert np.ldexp(res.x, k).tobytes() == ref.x.tobytes()
+            assert res.backward_error == ref.backward_error
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(RuntimeWarning, ArithmeticError),
+        reason="FOUND: NewtonBasis.next_column's Im(theta)^2 and "
+        "chebyshev_params' a^2 - b^2 overflow once the Ritz values pass 2^512",
+    )
+    @pytest.mark.parametrize(
+        "basis, k",
+        [
+            (basis, k)
+            for basis, first in sorted(WARM_UP_OVERFLOW_K.items())
+            for k in (first,) + tuple(range(600, 1001, 100))
+        ],
+    )
+    def test_scaling_a_past_the_warm_up_overflow(self, basis, k):
+        ref = probe_reference(basis, "classical")
+        assert_same_run(probe_run(basis, "classical", a_exp=k), ref)
 
 
 class TestRestartsAndCaps:

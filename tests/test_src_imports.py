@@ -1,11 +1,16 @@
 """The package imports nothing but the standard library, numpy and itself,
-no module of it imports another's underscore names, and every name a
-module imports is used there or exported in its ``__all__``.
+no module of it imports another's underscore names, every name a
+module imports is used there or exported in its ``__all__``, and no
+module but ``dense`` takes a norm with ``np.linalg.norm``.
 
 README promises "Requires numpy only"; the test references may use scipy,
 the package may not. A check that two modules share is given a public
 name in one of them, so the underscore marks what stays private to its
 module.
+
+Every norm behind a decision is ``dense.frobenius_norm``, whose result
+does not depend on the scale of its input; a raw one-pass norm squares
+its entries, which over- or underflow at the edges of the float range.
 """
 
 import ast
@@ -111,3 +116,56 @@ def test_unused_import_check_sees_a_dropped_use(tmp_path):
         "x = np.zeros(1)\n"
     )
     assert unused_imports(str(path)) == [(1, "NamedTuple"), (3, "RitzSet")]
+
+
+# (module, function) -> the number of np.linalg.norm calls it may make:
+# frobenius_norm is the package's one norm of vectors and matrices, and
+# triangular_cond2 takes two spectral norms
+LINALG_NORM_ALLOWED = {
+    ("dense.py", "frobenius_norm"): 1,
+    ("dense.py", "triangular_cond2"): 2,
+}
+
+
+def linalg_norm_uses(path):
+    """(line, enclosing function) of every ``*.linalg.norm`` reference and
+    every import of ``norm`` from ``numpy.linalg`` in the file."""
+    tree = syntax_tree(path)
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name  # inner functions come later
+    for node in ast.walk(tree):
+        hit = (
+            isinstance(node, ast.Attribute)
+            and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy.linalg"
+            and any(alias.name == "norm" for alias in node.names)
+        )
+        if hit:
+            yield node.lineno, owner.get(node, "<module>")
+
+
+def test_only_dense_takes_norms_with_numpy():
+    counts = {}
+    for path in SOURCES:
+        for _, func in linalg_norm_uses(path):
+            key = (os.path.basename(path), func)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == LINALG_NORM_ALLOWED
+
+
+def test_norm_check_sees_a_reintroduced_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "def step(w):\n"
+        "    return np.linalg.norm(w) + norm(w)\n"
+    )
+    assert list(linalg_norm_uses(str(path))) == [(2, "<module>"), (4, "step")]
