@@ -42,9 +42,10 @@ __all__ = ["main"]
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
-# cond2 of a dense randsvd matrix with one BLAS thread took about 0.07 s
-# at n = 300, 0.29 s at n = 500 and 1.6 s at n = 800 (2-core x86-64 VM);
-# the pivoted QR's column-by-column Householder loop dominates
+# cond2 of a dense randsvd matrix with one BLAS thread took about 0.05 s
+# at n = 300, 0.21-0.25 s at n = 500 and 1.5 s at n = 800 (2-core x86-64
+# VM); the pivoted QR's column-by-column Householder loop dominates, and
+# the SVD of its R takes most of the rest
 DENSE_INFO_LIMIT = 500
 
 # solve applies A as an ndarray (GEMV) when it stores at least n^2 / 4

@@ -15,21 +15,20 @@ L2 cache.
 near-orthonormal matrix A, one with ||I - A^T A||_2 <= 1/2, gets its
 condition number from the eigenvalues of the symmetric matrix
 E = I - A^T A: one GEMM and one LAPACK ``dsyevd``. Everything else goes
-through the pivoted R factor: sigma_max = ||R||_2 and
-sigma_min = 1 / ||R^{-1}||_2, which keeps the relative accuracy of small
-singular values because triangular inversion is componentwise backward
-stable. The Gram path never factors A. It forms A^T A from A's entries
-by a plain matrix product and diagonalizes that, so it shares no step
-with the Householder QR that produced the basis it measures: whatever
-orthogonality the QR lost appears in E entry by entry. The tests hold
-``cond2`` to a one-sided Jacobi SVD (LAPACK's dgejsv) of the same
-pivoted R, outside the package.
+through the column-pivoted R factor: sigma_max and sigma_min of one
+``np.linalg.svd`` of R. The Gram path never factors A. It forms A^T A
+from A's entries by a plain matrix product and diagonalizes that, so it
+shares no step with the Householder QR that produced the basis it
+measures: whatever orthogonality the QR lost appears in E entry by
+entry. The tests hold ``cond2`` to a one-sided Jacobi SVD (LAPACK's
+dgejsv) of the same pivoted R, outside the package.
 
 The two halves of ``cond2`` are also public for callers that hold their
 own triangular factor: ``gram_cond2`` is the Gram path alone, and
 ``triangular_cond2`` the tail from an R factor to the condition number
-(the noise floor on R's diagonal, then ||R||_2 ||R^{-1}||_2, then inf on
-overflow). ``cond2_and_orthogonality_loss`` measures an orthonormal
+(the noise floor on R's diagonal, then one SVD of R). One SVD of a
+triangular factor is the package's only route from R to a condition
+number. ``cond2_and_orthogonality_loss`` measures an orthonormal
 basis: cond2 and ||I - Q^T Q||_2 from one ``eigvalsh``.
 
 All routines are deterministic for a fixed input on a fixed platform.
@@ -161,11 +160,13 @@ def compute_givens(a, b):
 def _qrcp_r(a):
     """R factor of a column-pivoted Householder QR of a (rows >= cols).
 
-    Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That bounds
-    the growth of R^{-1} on badly scaled input, and makes the rows of R
-    the input on which the tests' reference, one-sided Jacobi on R^T,
-    converges fast and accurately; the singular values of R match those
-    of ``a`` up to a backward-stable factorization.
+    Column pivoting grades R: |r_kk| >= |r_kj| for j > k. That makes the
+    rows of R the input on which the tests' reference, one-sided Jacobi
+    on R^T, converges fast and accurately, and on which the SVD of R
+    stays within the tests' bound of it: the SVD of an unpivoted R of
+    the same badly column-scaled input misses that bound by orders of
+    magnitude. The singular values of R match those of ``a`` up to a
+    backward-stable factorization.
     """
     work = np.array(a, dtype=float, order="F", copy=True)
     cols = work.shape[1]
@@ -246,39 +247,27 @@ def gram_cond2(m):
     return _gram_cond2(*_cond2_input(m))
 
 
-def triangular_cond2(r, rows, pivoted=True):
+def triangular_cond2(r, rows):
     """cond2 of a rows x k matrix from its k x k triangular R factor.
 
     The rounding-noise floor is 4 * sqrt(rows) * u: a diagonal entry at
     or below it relative to the largest diagonal entry reports inf, since
     sigma_min <= min |r_kk| and sigma_max >= max |r_kk| for a triangular
-    R. Otherwise, for a column-pivoted R, sigma_max = ||R||_2 and
-    sigma_min = 1 / ||R^{-1}||_2; an R^{-1} that overflows reports inf.
-    See ``cond2`` for the accuracy of this route. An unpivoted R
-    (``pivoted=False``) gets no componentwise guarantee from its inverse,
-    so both come from one ``np.linalg.svd(r, compute_uv=False)``, which
-    is normwise accurate: a relative error of order k * u * cond. Either
-    way a ratio sigma_min / sigma_max at or below the floor reports inf.
+    R. Otherwise sigma_max and sigma_min come from one
+    ``np.linalg.svd(r, compute_uv=False)``, and a ratio
+    sigma_min / sigma_max at or below the floor reports inf too. The
+    tests hold the result within 64 * (rows + k) * u (relative) of a
+    one-sided Jacobi SVD for ``cond2``'s column-pivoted R, and within
+    16 * u * cond for an unpivoted R such as the B~ factor's.
     """
     ratio = 4.0 * np.sqrt(rows) * UNIT_ROUNDOFF
     diag = np.abs(np.diag(r))
     if diag.min() <= ratio * diag.max():
         return np.inf
-    if pivoted:
-        # r is upper triangular with a nonzero diagonal, so LU with partial
-        # pivoting keeps L = I and U = r: this is back substitution against
-        # I. An overflow leaves inf in r_inv; numpy raises no warning for it.
-        r_inv = np.linalg.inv(r)
-        if not np.all(np.isfinite(r_inv)):
-            return np.inf
-        sigma_max = np.linalg.norm(r, 2)
-        sigma_min = 1.0 / np.linalg.norm(r_inv, 2)
-    else:
-        sigma = np.linalg.svd(r, compute_uv=False)
-        sigma_max, sigma_min = sigma[0], sigma[-1]
-    if sigma_min <= ratio * sigma_max:
+    sigma = np.linalg.svd(r, compute_uv=False)
+    if sigma[-1] <= ratio * sigma[0]:
         return np.inf
-    return float(sigma_max / sigma_min)
+    return float(sigma[0] / sigma[-1])
 
 
 def cond2(m):
@@ -303,25 +292,18 @@ def cond2(m):
       relative error of the result. Unit-norm, nearly orthogonal
       columns (an orthonormal basis V, the modified variant's stacked
       candidates) land here.
-    - Everything else: the pivoted R factor of the input scaled by the
-      power of two that brings max |a_ij| into [1/2, 1), then
-      sigma_max = ||R||_2 and sigma_min = 1 / ||R^{-1}||_2
-      (``triangular_cond2``). The scaling is exact unless it makes
-      entries subnormal, so the result does not depend on the input's
-      scale. R settles most rank losses by itself: R is triangular, so
-      sigma_min <= min |r_kk| and sigma_max >= max |r_kk| = |r_11|,
-      and a diagonal entry at or below the floor relative to |r_11|
-      puts sigma_min at or below it too. Otherwise R is inverted.
-      Triangular inversion is componentwise backward stable (Higham,
-      Accuracy and Stability of Numerical Algorithms, section 8): the
-      computed R^{-1} is the exact inverse of R + dR with
-      |dR| <= c(cols) * u * |R|. A componentwise perturbation of a
-      column-pivoted R moves its singular values by a
-      relative amount bounded through the condition of R's row-scaled
-      form (Demmel and Veselic, SIMAX 1992), the same bound that governs
-      one-sided Jacobi on R^T, so sigma_min keeps the relative accuracy
-      of that Jacobi SVD, the tests' reference, at a fraction of its
-      cost. An R^{-1} that overflows reports inf.
+    - Everything else: the column-pivoted R factor of the input scaled
+      by the power of two that brings max |a_ij| into [1/2, 1), then
+      sigma_max and sigma_min of one SVD of R (``triangular_cond2``).
+      The scaling is exact unless it makes entries subnormal, so the
+      result does not depend on the input's scale. R settles most rank
+      losses by itself: R is triangular, so sigma_min <= min |r_kk| and
+      sigma_max >= max |r_kk| = |r_11|, and a diagonal entry at or
+      below the floor relative to |r_11| puts sigma_min at or below it
+      too. The tests hold the result within 64 * (rows + cols) * u
+      (relative) of a one-sided Jacobi SVD (LAPACK's dgejsv) of the
+      same R, up to cond = 1e13; the pivoting grades R's rows, the
+      input on which that reference is accurate.
     """
     a, a_max = _cond2_input(m)
     gram = _gram_cond2(a, a_max)

@@ -139,18 +139,15 @@ class CandidateFactor:
         self.ncols = upto
 
     def cond2(self):
-        """cond2 of the factored columns from one SVD of their R.
-
-        ``triangular_cond2``'s unpivoted route: the same noise floor on
-        R's diagonal, then sigma_max and sigma_min of one
-        ``np.linalg.svd``.
+        """cond2 of the factored columns from their R: ``triangular_cond2``,
+        the same noise floor and the same one SVD as ``cond2``'s pivoted R.
         """
         m = self.ncols
         e = self._exponents[:m]
         # R of B~ 2^-max(e): the common power of two that keeps its
         # largest column's entries below 1
         r = np.ldexp(self._r[:m, :m], (e - e.max())[None, :])
-        return triangular_cond2(r, self._y.shape[0], pivoted=False)
+        return triangular_cond2(r, self._y.shape[0])
 
 
 def _candidates_cond2(b_concat, inner, factor):

@@ -43,7 +43,7 @@ from .blockqr import bcgsi_plus_step, bmgs_step
 from .dense import UNIT_ROUNDOFF, compute_givens, frobenius_norm
 from .diagnostics import CandidateFactor, IterationRecord, basis_condition_numbers
 from .sparse import CsrMatrix, apply_preconditioner_inverse, reject_complex, spmv
-from .sparse import square_real_matrix
+from .sparse import Preconditioner, square_real_matrix
 
 __all__ = [
     "CONVERGED_STATUSES",
@@ -103,8 +103,8 @@ class SolverConfig:
     above the run's step count switches them off. A measurement on m
     basis columns costs O(n m^2) for the basis V; the classical
     variant's candidates cost O(n m s) for the columns appended since
-    the last measurement, plus O(m^3) for the inverse and the 2-norms of
-    an m x m triangular factor (see ``diagnostics``).
+    the last measurement, plus O(m^3) for one SVD of an m x m
+    triangular factor (see ``diagnostics``).
 
     ``basis_operator`` chooses the operator the classical variant builds
     its polynomial blocks with: ``plain`` is A, ``preconditioned`` is
@@ -297,13 +297,23 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     """Run restarted s-step GMRES on A x = b.
 
     ``a`` is a CsrMatrix or a square real ndarray; ``b`` and ``x0`` are
-    real and finite. ``preconditioner`` applies from the left. Returns a
+    real and finite. ``config`` is a SolverConfig, None for the defaults;
+    ``preconditioner`` is a Preconditioner, applied from the left, or
+    None. Any other type of either raises ValueError. Returns a
     SolveResult whose records hold one diagnostics row per block step.
     Raises ArithmeticError when a residual, R factor, iterate or backward
     error turns non-finite (never a norm alone: they are all
     ``frobenius_norm``'s), rather than report a status for it.
     """
-    config = config or SolverConfig()
+    if config is None:
+        config = SolverConfig()
+    elif not isinstance(config, SolverConfig):
+        raise ValueError("config must be a SolverConfig, got %s" % type(config).__name__)
+    if preconditioner is not None and not isinstance(preconditioner, Preconditioner):
+        raise ValueError(
+            "preconditioner must be None or a Preconditioner, got %s"
+            % type(preconditioner).__name__
+        )
     matvec, a_fro, n = _system_operators(a)
     b = _real_vector(b, "right-hand side", n)
     x = np.zeros(n) if x0 is None else _real_vector(x0, "x0", n)

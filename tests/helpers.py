@@ -4,7 +4,7 @@ the references for condition numbers, singular values and orthogonality.
 Deliberately built on numpy.linalg and scipy's LAPACK (not on the package
 under test) so the checks stay independent of the code they verify. The
 one deliberate use of package code is ``dense._qrcp_r``: the Jacobi
-reference runs on the rows of the same pivoted R whose inverse ``cond2``
+reference runs on the rows of the same pivoted R whose SVD ``cond2``
 takes, so the two share that factor and differ only in what follows it.
 The convection-diffusion stencil is the benchmark's own generator, so
 tests and benchmark run the one matrix.

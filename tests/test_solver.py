@@ -270,6 +270,22 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match=r"\(%d,\).*n=6" % length):
             solve(np.eye(6), np.ones(6), preconditioner=prec)
 
+    @pytest.mark.parametrize(
+        "bad", [np.ones(6), "jacobi", 2.0, np.diag(np.ones(6))],
+        ids=["ndarray", "str", "float", "matrix"],
+    )
+    def test_preconditioner_of_another_type_rejected(self, bad):
+        with pytest.raises(ValueError, match="preconditioner must be None or a Preconditioner"):
+            solve(np.eye(6), np.ones(6), preconditioner=bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["classical", {"s": 2}, {}, 0, SolverConfig],
+        ids=["str", "dict", "empty-dict", "zero", "class"],
+    )
+    def test_config_of_another_type_rejected(self, bad):
+        with pytest.raises(ValueError, match="config must be a SolverConfig"):
+            solve(np.eye(6), np.ones(6), config=bad)
+
     @pytest.mark.parametrize("which", ["a", "b", "x0"])
     def test_complex_input_rejected(self, which):
         args = {"a": np.eye(3), "b": np.ones(3), "x0": np.zeros(3)}
@@ -946,9 +962,10 @@ class TestStorageSize:
 
 
 def reference_gmres_gaps(m, b, storage, method, restart, kappa):
-    """Per block step of a solve of m x = b, the gap between its
-    ``ls_residual_estimate`` and scipy's restarted GMRES residual norm
-    after as many inner iterations, in units of u * kappa * ||b||.
+    """Per block step of a solve of m x = b, its restart cycle and the
+    gap between its ``ls_residual_estimate`` and scipy's restarted GMRES
+    residual norm after as many inner iterations, in units of
+    u * kappa * ||b||.
 
     ``method`` is (variant, s, basis). A restart cycle that does not end
     the run holds exactly ``restart`` inner iterations, so the step's
@@ -970,17 +987,21 @@ def reference_gmres_gaps(m, b, storage, method, restart, kappa):
     its = [(rec.restart_cycle - 1) * restart + rec.inner_cols for rec in result.records]
     assert len(history) >= its[-1]
     return [
-        abs(rec.ls_residual_estimate - history[it - 1] * b_norm)
-        / (UNIT_ROUNDOFF * kappa * b_norm)
+        (
+            rec.restart_cycle,
+            abs(rec.ls_residual_estimate - history[it - 1] * b_norm)
+            / (UNIT_ROUNDOFF * kappa * b_norm),
+        )
         for rec, it in zip(result.records, its)
     ]
 
 
-# sweeps over n = 60, kappa 1e2 to 1e10, modes 1, 3 and 5, restart 10
-# and 40, dense and CSR found gaps up to 1.11 at s = 1 (1080 cases, both
-# variants) and up to 2.33 for the modified variant at s = 2 (2304
-# cases, monomial and Newton; CHANGES.md); the bound is a power of two
-# above that
+# The bound on the gap in restart cycle c is REFERENCE_GMRES_GAP * c.
+# Each cycle starts from a residual that each solver recomputes from
+# its own iterate, so a gap opened in one cycle is carried into the
+# next rather than closed. Sweeps over the whole strategy below
+# (CHANGES.md) found gaps up to 3.8 in the first cycle and up to 6.7 c
+# in cycle c (seed 6712, the examples)
 REFERENCE_GMRES_GAP = 8.0
 
 
@@ -1006,10 +1027,12 @@ class TestMatchesReferenceGmres:
         ),
         storage=st.sampled_from(["dense", "csr"]),
     )
+    @example(1e10, 1, 6712, 10, ("classical", 1, "monomial"), "csr")
+    @example(1e10, 1, 6712, 10, ("modified", 2, "monomial"), "dense")
     def test_residual_estimates_track_scipy_gmres(
         self, kappa, mode, seed, restart, method, storage
     ):
         m, _, _ = gen_randsvd(RandSvdSpec(n=60, kappa=kappa, mode=mode, seed=seed))
         b = rng(seed).standard_normal(60)
         gaps = reference_gmres_gaps(m, b, storage, method, restart, kappa)
-        assert max(gaps) <= REFERENCE_GMRES_GAP, gaps
+        assert all(gap <= REFERENCE_GMRES_GAP * cycle for cycle, gap in gaps), gaps

@@ -1,7 +1,8 @@
 """The package imports nothing but the standard library, numpy and itself,
 no module of it imports another's underscore names, every name a
-module imports is used there or exported in its ``__all__``, and no
-module but ``dense`` takes a norm with ``np.linalg.norm``.
+module imports is used there or exported in its ``__all__``, no
+module but ``dense`` takes a norm with ``np.linalg.norm``, and only
+``dense.triangular_cond2`` takes an SVD; nothing inverts a matrix.
 
 README promises "Requires numpy only"; the test references may use scipy,
 the package may not. A check that two modules share is given a public
@@ -11,6 +12,9 @@ module.
 Every norm behind a decision is ``dense.frobenius_norm``, whose result
 does not depend on the scale of its input; a raw one-pass norm squares
 its entries, which over- or underflow at the edges of the float range.
+Every condition number measured from a triangular factor comes from
+one SVD of it, so no second route (an inverse, a spectral norm) can
+measure the same quantity differently.
 """
 
 import ast
@@ -119,17 +123,21 @@ def test_unused_import_check_sees_a_dropped_use(tmp_path):
 
 
 # (module, function) -> the number of np.linalg.norm calls it may make:
-# frobenius_norm is the package's one norm of vectors and matrices, and
-# triangular_cond2 takes two spectral norms
+# frobenius_norm is the package's one norm of vectors and matrices
 LINALG_NORM_ALLOWED = {
     ("dense.py", "frobenius_norm"): 1,
-    ("dense.py", "triangular_cond2"): 2,
+}
+
+# (module, function) -> the number of np.linalg.svd calls it may make:
+# one SVD of a triangular factor is the package's route to cond2
+LINALG_SVD_ALLOWED = {
+    ("dense.py", "triangular_cond2"): 1,
 }
 
 
-def linalg_norm_uses(path):
-    """(line, enclosing function) of every ``*.linalg.norm`` reference and
-    every import of ``norm`` from ``numpy.linalg`` in the file."""
+def linalg_uses(path, name):
+    """(line, enclosing function) of every ``*.linalg.<name>`` reference
+    and every import of ``name`` from ``numpy.linalg`` in the file."""
     tree = syntax_tree(path)
     owner = {}
     for func in ast.walk(tree):
@@ -139,25 +147,38 @@ def linalg_norm_uses(path):
     for node in ast.walk(tree):
         hit = (
             isinstance(node, ast.Attribute)
-            and node.attr == "norm"
+            and node.attr == name
             and isinstance(node.value, ast.Attribute)
             and node.value.attr == "linalg"
         ) or (
             isinstance(node, ast.ImportFrom)
             and node.module == "numpy.linalg"
-            and any(alias.name == "norm" for alias in node.names)
+            and any(alias.name == name for alias in node.names)
         )
         if hit:
             yield node.lineno, owner.get(node, "<module>")
 
 
-def test_only_dense_takes_norms_with_numpy():
+def linalg_counts(name):
+    """(module, function) -> the number of its ``*.linalg.<name>`` uses."""
     counts = {}
     for path in SOURCES:
-        for _, func in linalg_norm_uses(path):
+        for _, func in linalg_uses(path, name):
             key = (os.path.basename(path), func)
             counts[key] = counts.get(key, 0) + 1
-    assert counts == LINALG_NORM_ALLOWED
+    return counts
+
+
+def test_only_dense_takes_norms_with_numpy():
+    assert linalg_counts("norm") == LINALG_NORM_ALLOWED
+
+
+def test_only_triangular_cond2_takes_an_svd():
+    assert linalg_counts("svd") == LINALG_SVD_ALLOWED
+
+
+def test_no_module_inverts_a_matrix():
+    assert linalg_counts("inv") == {}
 
 
 def test_norm_check_sees_a_reintroduced_call(tmp_path):
@@ -168,4 +189,16 @@ def test_norm_check_sees_a_reintroduced_call(tmp_path):
         "def step(w):\n"
         "    return np.linalg.norm(w) + norm(w)\n"
     )
-    assert list(linalg_norm_uses(str(path))) == [(2, "<module>"), (4, "step")]
+    assert list(linalg_uses(str(path), "norm")) == [(2, "<module>"), (4, "step")]
+
+
+def test_inverse_check_sees_a_reintroduced_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import inv\n"
+        "def tail(r):\n"
+        "    return np.linalg.inv(r) @ inv(r) + np.linalg.svd(r)[1]\n"
+    )
+    assert list(linalg_uses(str(path), "inv")) == [(2, "<module>"), (4, "tail")]
+    assert list(linalg_uses(str(path), "svd")) == [(4, "tail")]
