@@ -7,12 +7,13 @@ prev_norm)``: from w = op(k_{j-1}) and the norm that normalized k_{j-1}
 it returns the unnormalized column k_j; each class states its step.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense import UNIT_ROUNDOFF, frobenius_norm
-from .sparse import reject_complex
+from .sparse import real_vector, reject_complex
 
 __all__ = [
     "ChebyshevBasis",
@@ -41,6 +42,8 @@ class NewtonBasis:
     column stays real: the half that closes a pair (``closes_pair``)
     also adds Im(theta)^2 / prev_norm * k_{j-2}, which completes the real
     quadratic op^2 - 2 Re(theta) op + |theta|^2 (Bai, Hu & Reichel 1994).
+    The coefficient is formed in units of 2^e >= |Im(theta)|: exact, and
+    no square overflows.
     """
 
     shifts: tuple
@@ -72,7 +75,9 @@ class NewtonBasis:
         theta = self.shifts[i]
         w = w - theta.real * cols[:, j - 1]
         if self.closes_pair[i]:
-            w = w + theta.imag * theta.imag / prev_norm * cols[:, j - 2]
+            e = math.frexp(theta.imag)[1]
+            im = math.ldexp(theta.imag, -e)
+            w = w + math.ldexp(im * im / math.ldexp(prev_norm, -e), e) * cols[:, j - 2]
         return w
 
 
@@ -116,10 +121,7 @@ def compute_ritz_values(apply_operator, r, s):
     """
     if s < 1:
         raise ValueError("s must be positive, got %d" % s)
-    reject_complex(r, "start vector")
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("start vector must be finite")
+    r = real_vector(r, "start vector")
     beta = frobenius_norm(r)
     if beta == 0.0:
         raise ValueError("start vector is zero")
@@ -193,9 +195,11 @@ def chebyshev_params(values):
 
     d = midpoint of the real extent, a = real semi-axis, b = largest
     |imaginary part|; c = sqrt(a^2 - b^2) when a >= b, else the real
-    fallback c = a. Only the extents enter, so repeated values change
-    nothing. c == 0 (all values identical, or no real spread) is a
-    degenerate ellipse, on which the caller uses the monomial basis.
+    fallback c = a; a and b enter the square root in units of 2^e > a:
+    exact, and no square overflows. Only the extents enter, so repeated
+    values change nothing. c == 0 (all values identical, or no real
+    spread) is a degenerate ellipse, on which the caller uses the
+    monomial basis.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=complex))
     if vals.size == 0:
@@ -204,7 +208,11 @@ def chebyshev_params(values):
     d = 0.5 * (re.max() + re.min())
     a = 0.5 * (re.max() - re.min())
     b = np.abs(vals.imag).max()
-    c = np.sqrt(a * a - b * b) if a >= b else a
+    c = a
+    if a >= b:
+        e = math.frexp(a)[1]
+        sa, sb = math.ldexp(a, -e), math.ldexp(b, -e)
+        c = math.ldexp(math.sqrt(sa * sa - sb * sb), e)
     return float(d), float(c)
 
 

@@ -34,6 +34,7 @@ from .sparse import (
     jacobi_preconditioner,
     parse_matrix_market,
     right_singular_vector,
+    text_stream,
     write_matrix_market,
 )
 
@@ -203,9 +204,14 @@ def _resolve_rhs(text, n, singular_vectors):
     if text.startswith("file:"):
         path = text[len("file:") :]
         try:
-            vec = np.loadtxt(path, dtype=float).reshape(-1)
+            vec = np.loadtxt(path, dtype=float, ndmin=1)
         except ValueError as exc:
             raise CliError("could not read %s as a vector: %s" % (path, exc))
+        if vec.ndim != 1:
+            raise CliError(
+                "right-hand side file %s holds a %d x %d table; expected one "
+                "value per line or one line of values" % ((path,) + vec.shape)
+            )
         if vec.size != n:
             raise CliError(
                 "right-hand side has %d entries but the matrix is %d x %d"
@@ -259,7 +265,7 @@ def _run_gen(args):
     a, _, sigma = gen_randsvd(spec)
     write_matrix_market(a, args.out)
     sidecar = args.out + ".sigma.txt"
-    with open(sidecar, "w", encoding="ascii") as fh:
+    with text_stream(sidecar, "w") as fh:
         for value in sigma:
             fh.write(repr(float(value)) + "\n")
     print("wrote %s (%d x %d) and %s" % (args.out, spec.n, spec.n, sidecar))

@@ -34,6 +34,7 @@ from .dense import (
     project_out,
     triangular_cond2,
 )
+from .sparse import text_stream
 
 __all__ = [
     "CSV_HEADER",
@@ -212,17 +213,13 @@ def _format_value(value):
 
 
 def write_csv(records, destination):
-    """Write records to a path or text stream, schema fixed by CSV_HEADER."""
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    stream = open(destination, "w", encoding="ascii") if own else destination
-    try:
+    """Write records to a path or an open text stream (see
+    ``sparse.text_stream``), schema fixed by CSV_HEADER."""
+    with text_stream(destination, "w") as stream:
         stream.write(CSV_HEADER + "\n")
         for rec in records:
             row = [_format_value(getattr(rec, f.name)) for f in _FIELDS]
             stream.write(",".join(row) + "\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def _parse_float(text):
@@ -234,15 +231,16 @@ _PARSERS = {int: int, float: _parse_float, str: str}
 
 
 def read_csv(source):
-    """Inverse of write_csv; accepts a path or text stream."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    stream = open(source, "r", encoding="ascii") if own else source
-    try:
+    """Inverse of write_csv; reads a path or an open text stream (see
+    ``sparse.text_stream``). A non-ASCII line raises ValueError."""
+    with text_stream(source, "r") as stream:
         header = stream.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ValueError("unexpected csv header: %r" % header)
         records = []
-        for line in stream:
+        for lineno, line in enumerate(stream, start=2):
+            if not line.isascii():
+                raise ValueError("csv line %d is not ASCII" % lineno)
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(_FIELDS):
                 raise ValueError(
@@ -252,9 +250,6 @@ def read_csv(source):
                 IterationRecord(*(_PARSERS[f.type](t) for f, t in zip(_FIELDS, parts)))
             )
         return records
-    finally:
-        if own:
-            stream.close()
 
 
 def csv_text(records):

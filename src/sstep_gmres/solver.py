@@ -18,7 +18,6 @@ ends it as ``max_iters``.
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -42,8 +41,8 @@ from .basis import (
 from .blockqr import bcgsi_plus_step, bmgs_step
 from .dense import UNIT_ROUNDOFF, compute_givens, frobenius_norm
 from .diagnostics import CandidateFactor, IterationRecord, basis_condition_numbers
-from .sparse import CsrMatrix, apply_preconditioner_inverse, reject_complex, spmv
-from .sparse import Preconditioner, square_real_matrix
+from .sparse import CsrMatrix, apply_preconditioner_inverse, spmv
+from .sparse import Preconditioner, real_vector, require_count, square_real_matrix
 
 __all__ = [
     "CONVERGED_STATUSES",
@@ -64,19 +63,6 @@ STATUS_KEY_DIMENSION = "key_dimension_reached"
 STATUS_MAX_ITERS = "max_iters"
 
 CONVERGED_STATUSES = frozenset({STATUS_CONVERGED_BACKWARD, STATUS_BREAKDOWN_CONVERGED})
-
-
-def _require_count(name, value):
-    # operator.index admits Python and numpy integers but no float;
-    # bool is an int subclass that no caller means as a count
-    if isinstance(value, bool):
-        raise ValueError("%s must be an integer, not a bool" % name)
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < 1:
-        raise ValueError("%s must be at least 1" % name)
 
 
 def _require_tolerance(name, value):
@@ -129,11 +115,11 @@ class SolverConfig:
     diag_every: int = 1
 
     def __post_init__(self):
-        _require_count("s", self.s)
-        _require_count("diag_every", self.diag_every)
+        require_count("s", self.s)
+        require_count("diag_every", self.diag_every)
         for name in ("restart", "max_outer"):
             if getattr(self, name) is not None:
-                _require_count(name, getattr(self, name))
+                require_count(name, getattr(self, name))
         if self.basis not in BASIS_CHOICES:
             raise ValueError("basis must be one of %s" % (BASIS_CHOICES,))
         if self.arnoldi not in ARNOLDI_CHOICES:
@@ -277,17 +263,6 @@ def _resolve_basis(config, ritz_op, r, s):
     return ChebyshevBasis(center, focal) if focal else MonomialBasis()
 
 
-def _real_vector(v, name, n):
-    """A float copy of v, which must be real, of shape (n,) and finite."""
-    reject_complex(v, name)
-    v = np.array(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError("%s has wrong shape" % name)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("%s must be finite" % name)
-    return v
-
-
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("non-finite value encountered during solve")
@@ -315,8 +290,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
             % type(preconditioner).__name__
         )
     matvec, a_fro, n = _system_operators(a)
-    b = _real_vector(b, "right-hand side", n)
-    x = np.zeros(n) if x0 is None else _real_vector(x0, "x0", n)
+    b = real_vector(b, "right-hand side", n)
+    x = np.zeros(n) if x0 is None else real_vector(x0, "x0", n)
     if preconditioner is not None and preconditioner.diag.shape != (n,):
         raise ValueError(
             "jacobi preconditioner diagonal has shape %r, but the matrix has n=%d"

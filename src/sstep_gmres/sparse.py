@@ -3,7 +3,10 @@ test-matrix generation with prescribed singular spectra."""
 
 import functools
 import io
+import operator
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,53 @@ def reject_complex(v, what):
         raise ValueError("%s must be real, not complex" % what)
 
 
+def real_vector(v, what, n=None):
+    """A float copy of ``v``, which must be real, 1-d (of length ``n``
+    when given) and finite."""
+    reject_complex(v, what)
+    v = np.array(v, dtype=float)
+    if v.ndim != 1 or (n is not None and v.size != n):
+        raise ValueError("%s has wrong shape" % what)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("%s must be finite" % what)
+    return v
+
+
+def require_count(name, value):
+    """Raise ValueError unless ``value`` is an integer of at least 1."""
+    # operator.index admits Python and numpy integers but no float;
+    # bool is an int subclass that no caller means as a count
+    if isinstance(value, bool):
+        raise ValueError("%s must be an integer, not a bool" % name)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < 1:
+        raise ValueError("%s must be at least 1" % name)
+
+
+@contextmanager
+def text_stream(target, mode):
+    """``target`` as a text stream to read (``mode`` "r") or write ("w").
+
+    A path (str, bytes or ``os.PathLike``) is opened as ASCII and closed
+    on exit; reads replace undecodable bytes, for the reader to reject
+    by line. An open stream is used as it is and left open. Anything
+    else, an int file descriptor included, raises ValueError.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        errors = "replace" if mode == "r" else "strict"
+        with open(target, mode, encoding="ascii", errors=errors) as fh:
+            yield fh
+    elif hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        raise ValueError(
+            "expected a path or an open text stream, got %s" % type(target).__name__
+        )
+
+
 def square_real_matrix(a):
     """``a`` as a float array; it must be real, 2-d and square. Finiteness
     is for the caller to check."""
@@ -70,9 +120,8 @@ class CsrMatrix:
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
         object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        require_count("matrix dimension", self.n)
         n, ptr, idx, val = self.n, self.row_ptr, self.col_idx, self.values
-        if n < 1:
-            raise ValueError("matrix dimension must be positive")
         if ptr.shape != (n + 1,) or ptr[0] != 0 or ptr[-1] != idx.size:
             raise ValueError("row_ptr inconsistent with matrix shape")
         if np.any(np.diff(ptr) < 0):
@@ -200,11 +249,12 @@ def csr_from_dense(a):
 def parse_matrix_market(source, dense_fill=None):
     """Parse Matrix Market coordinate real input into CsrMatrix.
 
-    Accepts a path or an open text stream. Supported: object 'matrix',
-    format 'coordinate', field 'real' (or 'integer'), symmetry 'general'
-    or 'symmetric'. Symmetric input is expanded to full storage at parse
-    time (diagonal entries once). One-based indices become zero-based.
-    Duplicate entries are summed in file order.
+    Reads a path or an open text stream (see ``text_stream``).
+    Supported: object 'matrix', format 'coordinate', field 'real' (or
+    'integer'), symmetry 'general' or 'symmetric'. Symmetric input is
+    expanded to full storage at parse time (diagonal entries once).
+    One-based indices become zero-based. Duplicate entries are summed in
+    file order.
 
     With ``dense_fill`` = d, input that stores at least n^2 / d distinct
     positions is returned as an n x n ndarray instead, scattered from
@@ -214,9 +264,7 @@ def parse_matrix_market(source, dense_fill=None):
     A size line that declares more than memory holds fails as a
     ``MatrixMarketError`` naming that line, not as a ``MemoryError``.
     """
-    if hasattr(source, "read"):
-        return _parse_mm_stream(source, dense_fill)
-    with open(source, "r", encoding="ascii", errors="replace") as fh:
+    with text_stream(source, "r") as fh:
         return _parse_mm_stream(fh, dense_fill)
 
 
@@ -370,14 +418,13 @@ _WRITE_CHUNK = 128
 def write_matrix_market(a, sink):
     """Write CsrMatrix (or square dense array) as coordinate real general.
 
+    ``sink`` is a path or an open text stream (see ``text_stream``).
     Values are written with shortest round-trip decimals so that
     parse(write(a)) reproduces them bit for bit.
     """
     if not isinstance(a, CsrMatrix):
         a = csr_from_dense(a)
-    own = not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="ascii") if own else sink
-    try:
+    with text_stream(sink, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write("%d %d %d\n" % (a.n, a.n, a.nnz))
         for lo in range(0, a.nnz, _WRITE_CHUNK):
@@ -389,9 +436,6 @@ def write_matrix_market(a, sink):
             values = repr(a.values[part].tolist())[1:-1].split(", ")
             lines = [f"{i} {j} {v}\n" for i, j, v in zip(rows, cols, values)]
             fh.write("".join(lines))
-    finally:
-        if own:
-            fh.close()
 
 
 def spmv(a, x):
@@ -483,8 +527,7 @@ class RandSvdSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        require_count("n", self.n)
         if not 1.0 <= self.kappa < np.inf:
             raise ValueError("kappa must be finite and >= 1")
         if self.mode not in (1, 2, 3, 4, 5):

@@ -67,6 +67,13 @@ def first_dead_r_diagonal(state, tol_h):
     return None
 
 
+class TestArnoldiState:
+    @pytest.mark.parametrize("max_inner", [0, 7])
+    def test_capacity_outside_one_to_n_rejected(self, max_inner):
+        with pytest.raises(ValueError, match="1 <= max_inner <= n"):
+            ArnoldiState(6, max_inner)
+
+
 class TestClassicalStep:
     def test_seed_exposes_beta(self):
         a = matrix_with_cond(20, 20, 10.0, seed=1)

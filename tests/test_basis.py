@@ -173,6 +173,10 @@ class TestRitzValues:
         with pytest.raises(ValueError, match="must be real"):
             compute_ritz_values(lambda x: x, np.ones(4) + 1.0j, 2)
 
+    def test_matrix_start_vector_rejected(self):
+        with pytest.raises(ValueError, match="start vector has wrong shape"):
+            compute_ritz_values(lambda x: x, np.ones((4, 2)), 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_vector_rejected(self, bad):
         # rejected before its norm is taken, not warned about or handed
@@ -327,6 +331,10 @@ class TestLejaOrder:
         got = leja_order([1.0, 1.0, 3.0])
         np.testing.assert_array_equal(got, [3.0, 1.0, 1.0])
 
+    def test_empty_input_gives_empty(self):
+        got = leja_order([])
+        assert got.size == 0 and got.dtype == complex
+
     def test_preserves_multiset(self):
         vals = hessenberg_spectrum(11, 42)
         got = leja_order(vals)
@@ -348,6 +356,10 @@ class TestChebyshevParams:
 
     def test_single_point_degenerate(self):
         assert chebyshev_params([3.0]) == (3.0, 0.0)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            chebyshev_params([])
 
     def test_repeated_values_move_nothing(self):
         # only the real extents and the largest |Im| enter
@@ -473,6 +485,10 @@ class TestBuildKrylovBlock:
             build_krylov_block(lambda x: x, np.ones(3), 2, "monomial")
         with pytest.raises(ValueError, match="positive"):
             build_krylov_block(lambda x: x, np.ones(3), 0, MonomialBasis())
+
+    def test_matrix_start_vector_rejected(self):
+        with pytest.raises(ValueError, match="v must be a vector"):
+            build_krylov_block(lambda x: x, np.ones((3, 2)), 2, MonomialBasis())
 
     def test_complex_start_vector_rejected(self):
         with pytest.raises(ValueError, match="must be real"):

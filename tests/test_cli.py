@@ -262,6 +262,45 @@ class TestUsageErrors:
         assert code == 1
         assert "3 entries" in err
 
+    def test_rhs_file_of_one_line_reads_as_one_value_per_line(self, capsys, tmp_path):
+        outputs = []
+        for name, content in (("row.txt", "1 2 3 4\n"), ("column.txt", "1\n2\n3\n4\n")):
+            (tmp_path / name).write_text(content)
+            outputs.append(run(
+                capsys, "solve", "--randsvd", "4,10,2,3",
+                "--rhs", "file:%s" % (tmp_path / name), "--summary",
+            ))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            ("1 2\n3 4\n", "holds a 2 x 2 table"),
+            ("1 2\n3 4\n5 6\n7 8\n", "holds a 4 x 2 table"),
+            ("1\nx\n", "could not read"),
+        ],
+        ids=["square-table", "tall-table", "not-numeric"],
+    )
+    def test_rhs_file_must_hold_one_vector(self, capsys, tmp_path, content, fragment):
+        rhs_path = tmp_path / "b.txt"
+        rhs_path.write_text(content)
+        matrix = os.path.join(FIXTURES, "identity_4.mtx")
+        code, out, err = run(
+            capsys, "solve", "--matrix", matrix, "--rhs", "file:%s" % rhs_path, "--summary"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize(
+        "spec, fragment",
+        [("rsv:x", "K must be an integer"), ("rsv:1.5", "K must be an integer"),
+         ("rsv:0", "k must be in 1..4"), ("rsv:5", "k must be in 1..4")],
+    )
+    def test_rsv_index_must_be_a_singular_vector(self, capsys, spec, fragment):
+        code, _, err = run(capsys, "solve", "--randsvd", "4,1,1,7", "--rhs", spec)
+        assert code == 1
+        assert fragment in err
+
     def test_invalid_config_value(self, capsys):
         code, _, err = run(capsys, "solve", "--randsvd", "4,1,1,7", "--s", "0")
         assert code == 1

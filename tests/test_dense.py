@@ -75,6 +75,11 @@ class TestHouseholderQr:
         with pytest.raises(ValueError):
             householder_qr(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("func", [householder_qr, cond2], ids=lambda f: f.__name__)
+    def test_vector_input_rejected(self, func):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            func(np.ones(4))
+
 
 def wy_thin_q(m, sign):
     """The WY expression householder_qr documents for its q.

@@ -122,6 +122,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="10 fields"):
             read_csv(io.StringIO(bad))
 
+    @pytest.mark.parametrize("stop_reason", ["max_iters\u00e9", "\u0665"])
+    def test_rejects_non_ascii_lines(self, tmp_path, stop_reason):
+        # the str field would take the text as it is
+        text = csv_text(sample_records()) + "1,1,,,,,,,%s,1\n" % stop_reason
+        with pytest.raises(ValueError, match="csv line 4 is not ASCII"):
+            read_csv(io.StringIO(text))
+        path = tmp_path / "diag.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match="csv line 4 is not ASCII"):
+            read_csv(str(path))
+
 
 class TestSolverRecordsSerialize:
     def test_solver_output_round_trips(self, tmp_path):

@@ -1,10 +1,13 @@
 import io
+import os
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sstep_gmres import sparse
+from sstep_gmres.diagnostics import read_csv, write_csv
 from sstep_gmres.sparse import (
     CsrMatrix,
     csr_from_coo,
@@ -18,6 +21,7 @@ from sstep_gmres.sparse import (
     parse_matrix_market,
     right_singular_vector,
     spmv,
+    text_stream,
     write_matrix_market,
 )
 
@@ -94,6 +98,14 @@ class TestParse:
             ("%%MatrixMarket matrix coordinate real general\n"
              "\u0661 \u0661 \u0661\n\u0661 \u0661 \u0665\n", "line 2"),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \u0665\n", "line 3"),
+            ("%%MatrixMarket matrix coordinate real\n1 1 1\n", "line 1: banner must have 5"),
+            ("%%MatrixMarket vector coordinate real general\n1 1 1\n", "line 1: unsupported object"),
+            ("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n", "line 1: unsupported symmetry"),
+            ("%%MatrixMarket matrix coordinate real general\n% c\n\n", "line 3: missing size line"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2\n", "line 2: size line must be"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 x\n", "line 2: size line must hold"),
+            ("%%MatrixMarket matrix coordinate real general\n0 0 0\n", "line 2: matrix dimension"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "line 3: entry must be"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):
@@ -239,7 +251,74 @@ class TestParseDense:
         assert (got if dense else got.to_dense()).tobytes() == want.to_dense().tobytes()
 
 
+class TestTextStream:
+    """Every file function reads or writes a path or an open text stream,
+    by ``text_stream``'s one rule."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fd: parse_matrix_market(fd),
+            lambda fd: write_matrix_market(np.eye(2), fd),
+            lambda fd: read_csv(fd),
+            lambda fd: write_csv([], fd),
+        ],
+        ids=["parse_matrix_market", "write_matrix_market", "read_csv", "write_csv"],
+    )
+    def test_file_descriptor_rejected_and_left_open(self, tmp_path, call):
+        fd = os.open(tmp_path / "f", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(ValueError, match="path or an open text stream"):
+                call(fd)
+            os.fstat(fd)  # raises OSError if the call closed it
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("target", [None, 1.5, ["a.mtx"]])
+    def test_other_targets_rejected(self, target):
+        for mode in ("r", "w"):
+            with pytest.raises(ValueError, match="got %s" % type(target).__name__):
+                with text_stream(target, mode):
+                    pass
+
+    @pytest.mark.parametrize("kind", [str, os.fsencode, pathlib.Path])
+    def test_paths_opened_and_closed(self, tmp_path, kind):
+        path = kind(str(tmp_path / "a.mtx"))
+        write_matrix_market(np.eye(2), path)
+        with text_stream(path, "r") as fh:
+            assert parse_matrix_market(fh).nnz == 2
+        assert fh.closed
+
+    def test_stream_left_open(self):
+        buf = io.StringIO()
+        write_matrix_market(np.eye(2), buf)
+        buf.seek(0)
+        assert parse_matrix_market(buf).nnz == 2
+        assert not buf.closed
+
+    def test_undecodable_byte_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n")
+        with pytest.raises(MatrixMarketError, match="line 3: .*non-ASCII"):
+            parse_matrix_market(str(path))
+
+
 class TestCsr:
+    @pytest.mark.parametrize(
+        "n,row_ptr,col_idx,values,fragment",
+        [
+            (0, [0], [], [], "dimension must be at least 1"),
+            (2.0, [0, 1, 2], [0, 1], [1.0, 2.0], "dimension must be an integer"),
+            (True, [0, 1], [0], [1.0], "dimension must be an integer, not a bool"),
+            (2, [0, 2, 1], [0], [1.0], "nondecreasing"),
+            (2, [0, 1, 2], [0, 1], [1.0], "length mismatch"),
+        ],
+        ids=["zero", "float", "bool", "decreasing-row-ptr", "length-mismatch"],
+    )
+    def test_validation_rejects_bad_structure(self, n, row_ptr, col_idx, values, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            CsrMatrix(n, row_ptr, col_idx, values)
+
     def test_validation_rejects_bad_row_ptr(self):
         with pytest.raises(ValueError):
             CsrMatrix(2, [0, 1], [0], [1.0])
@@ -547,6 +626,16 @@ class TestRandSvd:
             RandSvdSpec(5, 0.5, 1, 0)
         with pytest.raises(ValueError):
             RandSvdSpec(5, 10.0, 6, 0)
+
+    def test_one_by_one(self):
+        a, v, sigma = gen_randsvd(RandSvdSpec(1, 1e6, 3, 2))
+        assert sigma.tolist() == [1.0]
+        assert abs(a[0, 0]) == 1.0 and abs(v[0, 0]) == 1.0
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_spec_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            RandSvdSpec(n, 10.0, 3, 1)
 
     @pytest.mark.parametrize("kappa", [np.inf, np.nan])
     def test_spec_rejects_nonfinite_kappa(self, kappa):

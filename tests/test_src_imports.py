@@ -2,7 +2,9 @@
 no module of it imports another's underscore names, every name a
 module imports is used there or exported in its ``__all__``, no
 module but ``dense`` takes a norm with ``np.linalg.norm``, and only
-``dense.triangular_cond2`` takes an SVD; nothing inverts a matrix.
+``dense.triangular_cond2`` takes an SVD; nothing inverts a matrix. Only
+``sparse.text_stream`` opens a file, and the top-level namespace holds
+the documented API and nothing else.
 
 README promises "Requires numpy only"; the test references may use scipy,
 the package may not. A check that two modules share is given a public
@@ -14,15 +16,21 @@ does not depend on the scale of its input; a raw one-pass norm squares
 its entries, which over- or underflow at the edges of the float range.
 Every condition number measured from a triangular factor comes from
 one SVD of it, so no second route (an inverse, a spectral norm) can
-measure the same quantity differently.
+measure the same quantity differently. Every file crosses the package
+boundary by one rule, a path or an open text stream, so no second
+``open`` can take another (an int as a file descriptor, another
+encoding).
 """
 
 import ast
 import glob
+import inspect
 import os
 import sys
 
 import pytest
+
+import sstep_gmres
 
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "sstep_gmres")
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sstep_gmres"}
@@ -135,15 +143,21 @@ LINALG_SVD_ALLOWED = {
 }
 
 
-def linalg_uses(path, name):
-    """(line, enclosing function) of every ``*.linalg.<name>`` reference
-    and every import of ``name`` from ``numpy.linalg`` in the file."""
-    tree = syntax_tree(path)
+def enclosing_functions(tree):
+    """node -> the name of the innermost function that holds it."""
     owner = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 owner[node] = func.name  # inner functions come later
+    return owner
+
+
+def linalg_uses(path, name):
+    """(line, enclosing function) of every ``*.linalg.<name>`` reference
+    and every import of ``name`` from ``numpy.linalg`` in the file."""
+    tree = syntax_tree(path)
+    owner = enclosing_functions(tree)
     for node in ast.walk(tree):
         hit = (
             isinstance(node, ast.Attribute)
@@ -159,14 +173,20 @@ def linalg_uses(path, name):
             yield node.lineno, owner.get(node, "<module>")
 
 
-def linalg_counts(name):
-    """(module, function) -> the number of its ``*.linalg.<name>`` uses."""
+def counts_by_function(uses):
+    """(module, function) -> the number of the (line, function) pairs
+    that ``uses(path)`` yields for it, over the package's sources."""
     counts = {}
     for path in SOURCES:
-        for _, func in linalg_uses(path, name):
+        for _, func in uses(path):
             key = (os.path.basename(path), func)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def linalg_counts(name):
+    """(module, function) -> the number of its ``*.linalg.<name>`` uses."""
+    return counts_by_function(lambda path: linalg_uses(path, name))
 
 
 def test_only_dense_takes_norms_with_numpy():
@@ -202,3 +222,70 @@ def test_inverse_check_sees_a_reintroduced_call(tmp_path):
     )
     assert list(linalg_uses(str(path), "inv")) == [(2, "<module>"), (4, "tail")]
     assert list(linalg_uses(str(path), "svd")) == [(4, "tail")]
+
+
+# (module, function) -> the number of calls named ``open`` it may make:
+# text_stream turns every path the package reads or writes into a stream
+OPEN_ALLOWED = {
+    ("sparse.py", "text_stream"): 1,
+}
+
+
+def open_calls(path):
+    """(line, enclosing function) of every call of a function named
+    ``open``: the builtin, ``io.open``, ``os.open`` and the like."""
+    tree = syntax_tree(path)
+    owner = enclosing_functions(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "open"
+            or getattr(node.func, "attr", None) == "open"
+        ):
+            yield node.lineno, owner.get(node, "<module>")
+
+
+def test_only_text_stream_opens_files():
+    assert counts_by_function(open_calls) == OPEN_ALLOWED
+
+
+def test_open_check_sees_a_reintroduced_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import io, os\n"
+        "def sidecar(p):\n"
+        "    with open(p, 'w') as fh, io.open(p) as g:\n"
+        "        return os.open(p, os.O_RDONLY)\n"
+    )
+    assert list(open_calls(str(path))) == [(3, "sidecar"), (3, "sidecar"), (4, "sidecar")]
+
+
+# the documented API; internals are imported from their own modules
+TOP_LEVEL_API = [
+    "CsrMatrix",
+    "IterationRecord",
+    "RandSvdSpec",
+    "SolveResult",
+    "SolverConfig",
+    "backward_error",
+    "cond2",
+    "csr_from_dense",
+    "gen_randsvd",
+    "jacobi_preconditioner",
+    "parse_matrix_market",
+    "read_csv",
+    "right_singular_vector",
+    "solve",
+    "write_csv",
+    "write_matrix_market",
+]
+
+
+def test_top_level_exports_the_documented_api():
+    assert sstep_gmres.__all__ == TOP_LEVEL_API
+    # no other public name than the submodules and __version__
+    public = {
+        name
+        for name, value in vars(sstep_gmres).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(TOP_LEVEL_API)
