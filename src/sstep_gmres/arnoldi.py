@@ -85,6 +85,14 @@ class ArnoldiState(QrState):
     bounds ``q`` and ``r`` (see ``QrState``). W itself is not kept: R's
     columns 1.. carry its scale, which is what the rank test reads.
 
+    Two guarantees of a block step, relied on downstream unchecked:
+    every committed candidate has unit 2-norm to rounding (K's columns
+    are normalized, its column 0 is a column of V, and the modified
+    step commits Q columns), so the B~ factor takes them unscaled; and
+    every cut, the rank test's or the span budget's, shortens only the
+    newest block and keeps one of its columns, so the B~ factor never
+    re-reads a column.
+
     ``solve`` keeps one state per solve and calls ``reset`` before it
     seeds each cycle, so a restart never holds two bases at once.
     """
@@ -262,20 +270,14 @@ def truncate_after_breakdown(state, keep_inner):
     """Shrink the cycle to its first ``keep_inner`` inner columns.
 
     Keeps V columns 0..keep_inner (the deficient direction's column stays,
-    so [r | W] = V R still holds on the retained slice) and trims the
-    block widths to match; no buffer needs a trim, by the invariant
-    stated in ``QrState``. Used by ``solve`` right before the
+    so [r | W] = V R still holds on the retained slice) and narrows the
+    newest block to match; no buffer needs a trim, by the invariant
+    stated in ``QrState``. A cut outside the newest block raises
+    ValueError (see ``ArnoldiState``). Used by ``solve`` right before the
     solution assembly of a cycle that hit a rank-deficient column, and
     by the modified step's span-budget cut.
     """
-    if not 0 <= keep_inner <= state.inner_cols:
+    if not state.inner_cols - state.block_widths[-1] < keep_inner <= state.inner_cols:
         raise ValueError("keep_inner out of range")
+    state.block_widths[-1] -= state.inner_cols - keep_inner
     state.ncols = keep_inner + 1
-    widths = state.block_widths
-    total = sum(widths)
-    while total > state.ncols:
-        drop = min(widths[-1], total - state.ncols)
-        widths[-1] -= drop
-        total -= drop
-        if widths[-1] == 0:
-            widths.pop()

@@ -14,6 +14,7 @@ usage and input errors, out-of-memory ones included.
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -204,7 +205,10 @@ def _resolve_rhs(text, n, singular_vectors):
     if text.startswith("file:"):
         path = text[len("file:") :]
         try:
-            vec = np.loadtxt(path, dtype=float, ndmin=1)
+            with text_stream(path, "r") as stream, warnings.catch_warnings():
+                # "input contained no data": the size check below says so
+                warnings.simplefilter("ignore", UserWarning)
+                vec = np.loadtxt(stream, dtype=float, ndmin=1)
         except ValueError as exc:
             raise CliError("could not read %s as a vector: %s" % (path, exc))
         if vec.ndim != 1:

@@ -75,13 +75,10 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 class CandidateFactor:
     """Append-only Householder QR of one restart cycle's stacked candidates.
 
-    B~ D = Q R with Q = H_1 ... H_m = I - Y T Y^T in compact WY form
+    B~ = Q R with Q = H_1 ... H_m = I - Y T Y^T in compact WY form
     (Schreiber and Van Loan, SISC 1989): the columns of Y are the
-    reflectors, T is upper triangular. D scales each column by the power
-    of two 2^-e_j that brings its largest |entry| into [1/2, 1), so no
-    squared norm over- or underflows. Householder QR commutes with
-    power-of-two column scaling bit for bit, so R D^-1 is the R of B~
-    itself, up to one common power of two that leaves cond unchanged.
+    reflectors, T is upper triangular. B~'s columns have unit 2-norm
+    (see ``ArnoldiState``), so no squared norm over- or underflows.
 
     ``extend`` catches the factor up on the columns committed since the
     last call: C <- Q^T C = C - Y T^T (Y^T C), O(n m s) for s new
@@ -89,16 +86,16 @@ class CandidateFactor:
     rows (``np.linalg.qr``'s raw mode), whose reflectors and tau extend
     Y and T by dlarft's recurrence. Columns already factored are never
     re-read, so they must not change; within a cycle the solver only
-    appends (a truncation cuts the newest block, which is measured after
-    the cut). The factor reads only the candidates, never the solver's
-    V or R, so the measurement stays independent of the solver's QR.
+    appends (a cut shortens the newest block, measured after the cut).
+    The factor copies the candidates and never reads the solver's V or
+    R, so the measurement stays independent of the solver's QR.
     Storage for as many columns as the candidate buffer holds, an n-row
     array and two square ones, is allocated on the first ``extend``.
     """
 
     def __init__(self):
         self.ncols = 0
-        self._y = self._t = self._r = self._exponents = None
+        self._y = self._t = self._r = None
 
     @property
     def allocated(self):
@@ -116,13 +113,9 @@ class CandidateFactor:
             self._y = np.zeros((n, capacity), order="F")
             self._t = np.zeros((capacity, capacity), order="F")
             self._r = np.zeros((capacity, capacity), order="F")
-            self._exponents = np.zeros(capacity, dtype=int)
         if upto == m:
             return
-        c = b_concat[:, m:upto]
-        _, exponents = np.frexp(np.abs(c).max(axis=0))
-        self._exponents[m:upto] = exponents
-        c = np.ldexp(c, -exponents)
+        c = b_concat[:, m:upto].copy(order="F")
         y, t = self._y, self._t
         if m:
             project_out(y[:, :m], c, t[:m, :m].T, out=c)
@@ -144,11 +137,7 @@ class CandidateFactor:
         the same noise floor and the same one SVD as ``cond2``'s pivoted R.
         """
         m = self.ncols
-        e = self._exponents[:m]
-        # R of B~ 2^-max(e): the common power of two that keeps its
-        # largest column's entries below 1
-        r = np.ldexp(self._r[:m, :m], (e - e.max())[None, :])
-        return triangular_cond2(r, self._y.shape[0])
+        return triangular_cond2(self._r[:m, :m], self._y.shape[0])
 
 
 def _candidates_cond2(b_concat, inner, factor):

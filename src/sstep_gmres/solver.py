@@ -16,8 +16,6 @@ otherwise); otherwise a backward error at or below ``tol`` ends it as
 ends it as ``max_iters``.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -41,8 +39,8 @@ from .basis import (
 from .blockqr import bcgsi_plus_step, bmgs_step
 from .dense import UNIT_ROUNDOFF, compute_givens, frobenius_norm
 from .diagnostics import CandidateFactor, IterationRecord, basis_condition_numbers
-from .sparse import CsrMatrix, apply_preconditioner_inverse, spmv
-from .sparse import Preconditioner, real_vector, require_count, square_real_matrix
+from .sparse import CsrMatrix, Preconditioner, apply_preconditioner_inverse, spmv
+from .sparse import real_vector, require_count, require_real, square_real_matrix
 
 __all__ = [
     "CONVERGED_STATUSES",
@@ -63,15 +61,6 @@ STATUS_KEY_DIMENSION = "key_dimension_reached"
 STATUS_MAX_ITERS = "max_iters"
 
 CONVERGED_STATUSES = frozenset({STATUS_CONVERGED_BACKWARD, STATUS_BREAKDOWN_CONVERGED})
-
-
-def _require_tolerance(name, value):
-    # numbers.Real admits Python and numpy floats and integers; a string
-    # or a sequence would fail inside math.isfinite with a TypeError
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError("%s must be a real number, got %r" % (name, value))
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError("%s must be finite and positive" % name)
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,9 @@ class SolverConfig:
             )
         for name in ("tol", "tol_h"):
             if getattr(self, name) is not None:
-                _require_tolerance(name, getattr(self, name))
+                require_real(name, getattr(self, name))
+                if not 0.0 < getattr(self, name) < np.inf:
+                    raise ValueError("%s must be finite and positive" % name)
 
 
 @dataclass

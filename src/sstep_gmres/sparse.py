@@ -3,6 +3,7 @@ test-matrix generation with prescribed singular spectra."""
 
 import functools
 import io
+import numbers
 import operator
 import os
 import warnings
@@ -54,8 +55,8 @@ def real_vector(v, what, n=None):
     return v
 
 
-def require_count(name, value):
-    """Raise ValueError unless ``value`` is an integer of at least 1."""
+def require_count(name, value, minimum=1):
+    """Raise ValueError unless ``value`` is an integer of at least ``minimum``."""
     # operator.index admits Python and numpy integers but no float;
     # bool is an int subclass that no caller means as a count
     if isinstance(value, bool):
@@ -64,8 +65,15 @@ def require_count(name, value):
         operator.index(value)
     except TypeError:
         raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < 1:
-        raise ValueError("%s must be at least 1" % name)
+    if value < minimum:
+        raise ValueError("%s must be at least %d" % (name, minimum))
+
+
+def require_real(name, value):
+    """Raise ValueError unless ``value`` is a real number, bool not."""
+    # numbers.Real admits Python and numpy floats and integers
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a real number, got %r" % (name, value))
 
 
 @contextmanager
@@ -528,10 +536,13 @@ class RandSvdSpec:
 
     def __post_init__(self):
         require_count("n", self.n)
+        require_real("kappa", self.kappa)
         if not 1.0 <= self.kappa < np.inf:
             raise ValueError("kappa must be finite and >= 1")
-        if self.mode not in (1, 2, 3, 4, 5):
+        require_count("mode", self.mode)
+        if self.mode > 5:
             raise ValueError("mode must be in 1..5")
+        require_count("seed", self.seed, minimum=0)
 
 
 def _randsvd_sigma(spec, generator):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import sstep_gmres.solver as solver_module
 from sstep_gmres.arnoldi import (
     ArnoldiState,
     OperatorSet,
@@ -17,10 +18,11 @@ from sstep_gmres.basis import ChebyshevBasis, MonomialBasis, NewtonBasis
 from sstep_gmres.blockqr import bcgsi_plus_step, bmgs_step
 from sstep_gmres.dense import UNIT_ROUNDOFF, cond2, gram_cond2, householder_qr
 from sstep_gmres.diagnostics import CandidateFactor, basis_condition_numbers
-from sstep_gmres.solver import SolverConfig, _resolve_basis
+from sstep_gmres.solver import SolverConfig, _resolve_basis, solve
 from sstep_gmres.sparse import (
     RandSvdSpec,
     apply_preconditioner_inverse,
+    csr_from_dense,
     gen_randsvd,
     jacobi_preconditioner,
 )
@@ -492,6 +494,70 @@ class TestRankTestScale:
             assert excess <= W_NORM_C0
 
 
+# c of the bound |‖b_j‖₂ − 1| <= c sqrt(n) u: the largest ratio seen in
+# a sweep of 12000 random cases over the test's ranges was 1.67
+UNIT_NORM_C = 4.0
+
+
+def block_step_guarantees(n, cond, seed, config, jacobi, storage):
+    """Solve a system as ``solve`` runs it and check, after every block
+    step (the rank-test cut included), the two guarantees of
+    ``ArnoldiState``. Returns one pair per step: the largest
+    |‖b_j‖₂ − 1| over the committed candidates, in units of sqrt(n) u,
+    and whether every block but the newest kept the width it had after
+    the previous step."""
+    m = matrix_with_cond(n, n, cond, seed=seed)
+    prec = jacobi_preconditioner(m) if jacobi else None
+    a = csr_from_dense(m) if storage == "csr" else m
+    steps = []
+    cycle = [None, [1]]  # the cycle's B~ factor, its widths after the last step
+
+    def check(state, factor, valid_cols=None):
+        if factor is not cycle[0]:
+            cycle[:] = [factor, [1]]  # a fresh cycle holds the seed block
+        norms = np.linalg.norm(state.b_columns(), axis=0)
+        excess = np.max(np.abs(norms - 1.0)) / (np.sqrt(n) * UNIT_ROUNDOFF)
+        widths = list(state.block_widths)
+        steps.append((float(excess), widths[:-1] == cycle[1]))
+        cycle[1] = widths
+        return (np.nan,) * 4
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(solver_module, "basis_condition_numbers", check)
+        solve(a, rng(seed + 1).standard_normal(n), config=config, preconditioner=prec)
+    return steps
+
+
+class TestBlockStepGuarantees:
+    """Every committed candidate column has unit 2-norm, and every cut
+    shortens only the newest block (see ``ArnoldiState``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 48),
+        cond=st.sampled_from([1e2, 1e6, 1e10]),
+        seed=st.integers(0, 2**16),
+        s=st.integers(1, 8),
+        basis=st.sampled_from(["monomial", "newton", "chebyshev"]),
+        arnoldi=st.sampled_from(["classical", "modified"]),
+        orth=st.sampled_from(["bcgsi+", "bmgs"]),
+        restart=st.sampled_from([None, 8]),
+        jacobi=st.booleans(),
+        storage=st.sampled_from(["dense", "csr"]),
+    )
+    def test_after_every_block_step(
+        self, n, cond, seed, s, basis, arnoldi, orth, restart, jacobi, storage
+    ):
+        config = SolverConfig(
+            s=s, basis=basis, arnoldi=arnoldi, orth=orth, restart=restart
+        )
+        steps = block_step_guarantees(n, cond, seed, config, jacobi, storage)
+        assert steps
+        for excess, earlier_blocks_kept in steps:
+            assert excess <= UNIT_NORM_C
+            assert earlier_blocks_kept
+
+
 class TestBreakdownHandling:
     def test_identity_matrix_flags_first_new_column(self):
         n = 10
@@ -536,14 +602,16 @@ class TestBreakdownHandling:
         r = rng(seed + 1).standard_normal(n)
         state, _, _ = run_cycle(a, r, s, steps, step_fn, orth=orth)
         before = list(state.block_widths)
-        k = data.draw(st.integers(1, state.inner_cols), label="keep_inner")
+        # a cut keeps at least one column of the newest block
+        first = state.inner_cols - before[-1] + 1
+        k = data.draw(st.integers(first, state.inner_cols), label="keep_inner")
         truncate_after_breakdown(state, k)
 
         widths = state.block_widths
         assert sum(widths) == state.ncols == state.inner_cols + 1 == k + 1
-        # the kept layout is the old one cut at basis column k
-        assert widths[:-1] == before[: len(widths) - 1]
-        assert 1 <= widths[-1] <= before[len(widths) - 1]
+        # the kept layout is the old one with the newest block cut short
+        assert widths[:-1] == before[:-1]
+        assert 1 <= widths[-1] <= before[-1]
 
         ab = a @ state.b_columns()
         resid = np.linalg.norm(ab - state.q_active @ hess_from_state(state))
@@ -567,6 +635,15 @@ class TestBreakdownHandling:
         state, _, _ = run_cycle(a, rng(36).standard_normal(12), 2, 2, classical_step)
         with pytest.raises(ValueError, match="out of range"):
             truncate_after_breakdown(state, 9)
+
+    def test_cut_outside_the_newest_block_rejected(self):
+        a = matrix_with_cond(12, 12, 10.0, seed=35)
+        state, _, _ = run_cycle(a, rng(36).standard_normal(12), 2, 2, classical_step)
+        assert state.block_widths == [1, 2, 2]
+        for keep_inner in (0, 1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                truncate_after_breakdown(state, keep_inner)
+        assert state.block_widths == [1, 2, 2] and state.inner_cols == 4
 
     def test_seed_twice_and_unseeded_step_rejected(self):
         state = ArnoldiState(8, 4)

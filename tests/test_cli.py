@@ -6,6 +6,8 @@ the parser never calls sys.exit on usage errors, it reports and returns 1.
 
 import dataclasses
 import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -290,6 +292,25 @@ class TestUsageErrors:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("content", ["", " \n\n\t\n"], ids=["empty", "blank"])
+    def test_rhs_file_without_values_prints_only_the_error(self, tmp_path, content):
+        # a child process, so that a warning would reach its stderr as it
+        # reaches a user's, not pytest's warning capture
+        rhs_path = tmp_path / "b.txt"
+        rhs_path.write_text(content)
+        matrix = os.path.join(FIXTURES, "identity_4.mtx")
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sstep_gmres", "solve", "--matrix", matrix,
+             "--rhs", "file:%s" % rhs_path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: right-hand side has 0 entries ")
 
     @pytest.mark.parametrize(
         "spec, fragment",

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import sstep_gmres.solver as solver_module
 from sstep_gmres import dense, diagnostics
@@ -175,14 +175,6 @@ class TestCandidateFactor:
     def test_agrees_with_dgejsv(self, case):
         m, uptos = case
         assert_cond_within_u_kappa(m, factor_cond2(m, uptos), FACTOR_C)
-
-    @given(chunked_matrices(), st.integers(-1000, 1000))
-    def test_bit_identical_under_power_of_two_scaling(self, case, k):
-        m, uptos = case
-        scaled = np.ldexp(m, k)
-        # powers of two scale exactly unless entries leave the normal range
-        assume(np.array_equal(np.ldexp(scaled, -k), m))
-        assert factor_cond2(scaled, uptos) == factor_cond2(m, uptos)
 
     def test_prefix_measurement_needs_no_later_columns(self):
         m = matrix_with_cond(30, 12, 1e6, seed=70)

@@ -644,6 +644,28 @@ class TestRandSvd:
         with pytest.raises(ValueError, match="finite"):
             RandSvdSpec(6, kappa, 3, 1)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("seed", 2.5, "seed must be an integer"),
+            ("seed", -1, "seed must be at least 0"),
+            ("seed", True, "seed must be an integer"),
+            ("mode", True, "mode must be an integer"),
+            ("mode", 3.0, "mode must be an integer"),
+            ("kappa", True, "kappa must be a real number"),
+            ("kappa", "10", "kappa must be a real number"),
+        ],
+    )
+    def test_spec_fields_checked_at_construction(self, name, value, message):
+        fields = {"n": 5, "kappa": 10.0, "mode": 3, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=message):
+            RandSvdSpec(**fields)
+
+    def test_spec_takes_numpy_numbers(self):
+        spec = RandSvdSpec(np.int64(6), np.float32(10.0), np.int32(3), np.uint64(2))
+        a, _, _ = gen_randsvd(spec)
+        assert a.tobytes() == gen_randsvd(RandSvdSpec(6, 10.0, 3, 2))[0].tobytes()
+
     def test_right_singular_vector_bounds(self):
         _, v, _ = gen_randsvd(RandSvdSpec(5, 10.0, 3, 0))
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ no module of it imports another's underscore names, every name a
 module imports is used there or exported in its ``__all__``, no
 module but ``dense`` takes a norm with ``np.linalg.norm``, and only
 ``dense.triangular_cond2`` takes an SVD; nothing inverts a matrix. Only
+``dense`` calls numpy's ``frexp`` and ``ldexp``. Only
 ``sparse.text_stream`` opens a file, and the top-level namespace holds
 the documented API and nothing else.
 
@@ -16,10 +17,14 @@ does not depend on the scale of its input; a raw one-pass norm squares
 its entries, which over- or underflow at the edges of the float range.
 Every condition number measured from a triangular factor comes from
 one SVD of it, so no second route (an inverse, a spectral norm) can
-measure the same quantity differently. Every file crosses the package
-boundary by one rule, a path or an open text stream, so no second
-``open`` can take another (an int as a file descriptor, another
-encoding).
+measure the same quantity differently. Arrays are rescaled by powers of
+two only where a squared entry could over- or underflow, in
+``frobenius_norm`` and ``cond2``; the candidates B~ need no rescaling,
+since each of their columns has unit norm by construction. Scalar
+``math.frexp`` and ``math.ldexp`` stay outside the rule. Every file
+crosses the package boundary by one rule, a path or an open text
+stream, so no second ``open`` can take another (an int as a file
+descriptor, another encoding).
 """
 
 import ast
@@ -222,6 +227,53 @@ def test_inverse_check_sees_a_reintroduced_call(tmp_path):
     )
     assert list(linalg_uses(str(path), "inv")) == [(2, "<module>"), (4, "tail")]
     assert list(linalg_uses(str(path), "svd")) == [(4, "tail")]
+
+
+# name -> (module, function) -> the number of numpy ``name`` uses it may
+# make: powers of two rescale arrays only inside the norm and cond2
+NUMPY_POWER_OF_TWO_ALLOWED = {
+    "frexp": {("dense.py", "cond2"): 1, ("dense.py", "frobenius_norm"): 1},
+    "ldexp": {("dense.py", "cond2"): 1, ("dense.py", "frobenius_norm"): 2},
+}
+
+
+def numpy_uses(path, name):
+    """(line, enclosing function) of every ``np.<name>`` or
+    ``numpy.<name>`` reference and every import of ``name`` from numpy."""
+    tree = syntax_tree(path)
+    owner = enclosing_functions(tree)
+    for node in ast.walk(tree):
+        hit = (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and getattr(node.value, "id", None) in ("np", "numpy")
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(alias.name == name for alias in node.names)
+        )
+        if hit:
+            yield node.lineno, owner.get(node, "<module>")
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_POWER_OF_TWO_ALLOWED))
+def test_only_dense_rescales_by_powers_of_two(name):
+    uses = counts_by_function(lambda path: numpy_uses(path, name))
+    assert uses == NUMPY_POWER_OF_TWO_ALLOWED[name]
+
+
+def test_power_of_two_check_sees_a_reintroduced_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy import ldexp\n"
+        "def extend(c):\n"
+        "    _, e = np.frexp(np.abs(c).max(axis=0))\n"
+        "    return np.ldexp(c, -e) + ldexp(c, 1) + math.ldexp(1.0, 2)\n"
+    )
+    assert list(numpy_uses(str(path), "frexp")) == [(5, "extend")]
+    assert list(numpy_uses(str(path), "ldexp")) == [(3, "<module>"), (6, "extend")]
 
 
 # (module, function) -> the number of calls named ``open`` it may make:
