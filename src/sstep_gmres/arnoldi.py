@@ -11,6 +11,10 @@ directions: x = x0 + [B_1 | ... | B_i] y.
 first replaces K by the Q factor of its twice-projected complement against
 the previous basis columns, which keeps the accumulated candidate blocks
 well conditioned regardless of the polynomial basis quality.
+
+Neither step decides rank: ``solve`` tests the fresh R diagonal entries
+of the shared factorization, the new block being ``block_widths[-1]``
+columns wide, against the scale that R's own columns give W.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,6 @@ from .dense import UNIT_ROUNDOFF, frobenius_norm, householder_qr, project_out
 __all__ = [
     "ArnoldiState",
     "OperatorSet",
-    "StepReport",
     "classical_step",
     "modified_step",
     "truncate_after_breakdown",
@@ -38,39 +41,20 @@ class OperatorSet:
 
     ``basis_op`` is the operator a classical step builds its polynomial
     Krylov blocks with; a modified step always uses ``system_op``,
-    M^{-1} A (see ``modified_step``). When ``basis_op`` is the very
-    object ``matvec``, or when ``basis_preconditioned`` declares that it
-    returns ``left_inv(matvec(x))`` bit for bit, a classical step turns the
-    images computed while building K into columns of W = M^{-1} A K and
-    applies the system operator afresh only to the columns past them:
-    a block of width s then costs s applies, not 2s - 1. Any other
-    basis operator (a scaled one, say) gets every W column afresh.
+    M^{-1} A (see ``modified_step``). It is either the very object
+    ``matvec`` or an operator that returns ``system_op(x)`` bit for bit,
+    unchecked: a classical step turns the images it computes while
+    building K into W's leading columns by that contract alone (see
+    ``classical_step``).
     """
 
     matvec: Callable
     left_inv: Callable
     basis_op: Callable
-    basis_preconditioned: bool = False
 
     def system_op(self, x):
         """M^{-1} A x."""
         return self.left_inv(self.matvec(x))
-
-
-@dataclass
-class StepReport:
-    """The candidate-preparation work of one block step.
-
-    Rank is not decided here: ``solve`` tests the fresh R diagonal
-    entries of the shared factorization, the new block being
-    ``block_widths[-1]`` columns wide, against the scale that R's own
-    columns give W (see ``ArnoldiState``). ``projections`` and ``intra_qrs``
-    count the work on top of the shared orthogonalization, so logs can
-    show the near-doubling of QR cost in the modified variant.
-    """
-
-    projections: int = 0
-    intra_qrs: int = 0
 
 
 class ArnoldiState(QrState):
@@ -93,6 +77,10 @@ class ArnoldiState(QrState):
     newest block and keeps one of its columns, so the B~ factor never
     re-reads a column.
 
+    ``candidate_projections`` and ``candidate_qrs`` count the modified
+    step's extra work, 2 projections and 1 QR per block wider than one
+    column; ``reset`` keeps them, so they run over the whole solve.
+
     ``solve`` keeps one state per solve and calls ``reset`` before it
     seeds each cycle, so a restart never holds two bases at once.
     """
@@ -102,6 +90,8 @@ class ArnoldiState(QrState):
             raise ValueError("need 1 <= max_inner <= n")
         super().__init__(n, max_inner + 1)
         self.b_concat = np.zeros((n, max_inner), order="F")
+        self.candidate_projections = 0
+        self.candidate_qrs = 0
 
     @property
     def max_inner(self):
@@ -127,7 +117,7 @@ class ArnoldiState(QrState):
         return self.b_concat[:, : self.inner_cols]
 
 
-def _finish_step(state, ops, b, orth_step, w_known=(), projections=0, intra_qrs=0):
+def _finish_step(state, ops, b, orth_step, w_known=()):
     """Commit candidate block b: W = M^{-1} A b, then extend [r | W] = V R.
 
     ``w_known[i]``, when given, is column i of W as already computed
@@ -140,7 +130,6 @@ def _finish_step(state, ops, b, orth_step, w_known=(), projections=0, intra_qrs=
     start = state.inner_cols
     state.b_concat[:, start : start + width] = b
     orth_step(state, w)
-    return StepReport(projections, intra_qrs)
 
 
 def _candidate_block(state, apply_op, basis, s):
@@ -197,11 +186,12 @@ def classical_step(state, ops, basis, s, orth_step):
 
     ``build_krylov_block`` applies the basis operator once to each of
     K's columns but the last, in order, and leaves the results alone, so
-    its recorded outputs are the operator images of k_0, k_1, ...; when
-    ``ops`` marks the basis operator as the system's (see
-    ``OperatorSet``), they become W's leading columns. A block of width
-    s then costs s - 1 applies in K and one fresh apply for k_{s-1};
-    after an early truncation every column already has its image.
+    its recorded outputs are the operator images of k_0, k_1, ...; they
+    become W's leading columns by ``OperatorSet``'s contract:
+    ``left_inv`` of them when the basis operator is ``matvec``, the
+    images themselves otherwise. A block of width s then costs s - 1
+    applies in K and one fresh apply for k_{s-1}; after an early
+    truncation every column already has its image.
     """
     images = []
 
@@ -212,12 +202,8 @@ def classical_step(state, ops, basis, s, orth_step):
 
     k = _candidate_block(state, recording_op, basis, s)
     if ops.basis_op is ops.matvec:
-        w_known = [ops.left_inv(y) for y in images]
-    elif ops.basis_preconditioned:
-        w_known = images
-    else:
-        w_known = ()
-    return _finish_step(state, ops, k, orth_step, w_known)
+        images = [ops.left_inv(y) for y in images]
+    _finish_step(state, ops, k, orth_step, images)
 
 
 def modified_step(state, ops, basis, s, orth_step):
@@ -260,10 +246,12 @@ def modified_step(state, ops, basis, s, orth_step):
         # columns are still recognized; the seed column enters with unit
         # norm and orthogonal to prev, so it cannot be the dead one
         q = q[:, : _live_width(r, y.shape[0], frobenius_norm(k))]
-        report = _finish_step(state, ops, q, orth_step, projections=2, intra_qrs=1)
+        _finish_step(state, ops, q, orth_step)
+        state.candidate_projections += 2
+        state.candidate_qrs += 1
         _enforce_span_budget(state, k.shape[1])
-        return report
-    return _finish_step(state, ops, k, orth_step)
+        return
+    _finish_step(state, ops, k, orth_step)
 
 
 def truncate_after_breakdown(state, keep_inner):

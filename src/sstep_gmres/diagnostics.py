@@ -163,9 +163,11 @@ def basis_condition_numbers(state, factor, valid_cols=None):
 
     ``valid_cols`` limits the measurement to the first that many
     candidate columns (plus the matching basis slice). The driver passes
-    it after a rank-test breakdown: the final column added no direction
-    and stays stored only to keep the triangular factor consistent, so
-    it is not part of the bases the iteration actually searched. A
+    it after a rank-test breakdown to leave out the tripping column,
+    which V needs: with the space full, V would have n + 1 columns in
+    R^n. That candidate is committed, though, and x may take it with a
+    nonzero coefficient, so cond_B_tilde can understate the candidates x
+    was built from by orders of magnitude (README, Rank handling). A
     slice left empty by the limit reports NaN.
 
     ``factor`` is the cycle's ``CandidateFactor``. A B~ off the Gram

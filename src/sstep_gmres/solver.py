@@ -130,11 +130,11 @@ class SolverConfig:
 class SolveResult:
     """Solution, stop status, and per-step diagnostic records.
 
-    ``candidate_projections`` and ``candidate_qr_count`` total the
-    projection passes and QR factorizations spent preparing candidate
-    blocks (zero for the classical variant); compared against the one
-    block-orthogonalization per step both variants share, they show the
-    near-doubling of QR cost in the modified variant.
+    ``candidate_projections`` and ``candidate_qr_count`` are the solve's
+    ``ArnoldiState`` counters, over every restart cycle (zero for the
+    classical variant); compared against the one block orthogonalization
+    per step both variants share, they show the near-doubling of QR cost
+    in the modified variant.
     """
 
     x: np.ndarray
@@ -299,12 +299,10 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
     left_inv = lambda x: apply_preconditioner_inverse(preconditioner, x)
     ritz_op = lambda x: left_inv(matvec(x))
-    preconditioned = config.basis_operator == "preconditioned"
     ops = OperatorSet(
         matvec=matvec,
         left_inv=left_inv,
-        basis_op=ritz_op if preconditioned else matvec,
-        basis_preconditioned=preconditioned,
+        basis_op=ritz_op if config.basis_operator == "preconditioned" else matvec,
     )
     step_fn = classical_step if config.arnoldi == "classical" else modified_step
     orth_step = bcgsi_plus_step if config.orth == "bcgsi+" else bmgs_step
@@ -327,8 +325,6 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
     b_err = None
     cycle = 0
     total_inner = 0
-    total_cand_proj = 0
-    total_cand_qr = 0
     basis = None
     state = ArnoldiState(n, max_inner)
 
@@ -352,9 +348,7 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
 
         while status is None and state.inner_cols < max_inner:
             outer += 1
-            report = step_fn(state, ops, basis, config.s, orth_step)
-            total_cand_proj += report.projections
-            total_cand_qr += report.intra_qrs
+            step_fn(state, ops, basis, config.s, orth_step)
             _check_finite(state.r_active)
 
             # rank test on the fresh R diagonal entries: basis column c
@@ -392,8 +386,8 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
                 status = STATUS_MAX_ITERS
 
             if outer % config.diag_every == 0:
-                # past a breakdown the last column holds no new direction,
-                # so the measured bases end at the last fully valid one
+                # past a breakdown the measured bases end before the
+                # tripping column (see basis_condition_numbers)
                 valid = broke_at - 1 if broke_at is not None else None
                 cond_bt, cond_bs, cond_v, loss_v = basis_condition_numbers(
                     state, factor, valid_cols=valid
@@ -428,6 +422,6 @@ def solve(a, b, x0=None, config=None, preconditioner=None):
         cycles=cycle,
         block_steps=len(records),
         inner_iterations=total_inner,
-        candidate_projections=total_cand_proj,
-        candidate_qr_count=total_cand_qr,
+        candidate_projections=state.candidate_projections,
+        candidate_qr_count=state.candidate_qrs,
     )

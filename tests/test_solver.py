@@ -16,7 +16,7 @@ import sstep_gmres.arnoldi as arnoldi_module
 import sstep_gmres.solver as solver_module
 from sstep_gmres.arnoldi import ArnoldiState
 from sstep_gmres.diagnostics import csv_text
-from sstep_gmres.dense import UNIT_ROUNDOFF, compute_givens
+from sstep_gmres.dense import UNIT_ROUNDOFF, compute_givens, cond2
 from sstep_gmres.solver import (
     ARNOLDI_CHOICES,
     BASIS_CHOICES,
@@ -578,14 +578,42 @@ class TestConditioningUnderStress:
             self.assert_bound(res, 20, s)
 
     def test_final_record_after_breakdown_stays_within_bound(self):
-        # the closing cycle ends on the rank test; the column it rejects
-        # holds no search direction, so the measured bases must exclude
-        # it and the recorded conditioning must still respect the bound
+        # the closing cycle ends on the rank test; the measured bases
+        # leave the tripping column out (see basis_condition_numbers),
+        # and the recorded conditioning must still respect the bound
         res = self.run_case(20, 1e10, 5, 46, 8, basis="newton")
         last = res.records[-1]
         assert last.stop_reason == "breakdown_converged"
         assert not np.isnan(last.cond_B_tilde)
         assert last.cond_B_tilde <= 2.0 * np.sqrt(20) + np.sqrt(8)
+
+    def test_rank_stop_record_leaves_out_a_candidate_x_uses(self, monkeypatch):
+        # classical s=2 loses rank on its fourth column long before the
+        # Krylov space runs out; x still takes that committed candidate,
+        # with a least-squares coefficient near 1e17, and the record,
+        # measured without it, reads 1.08 where all the candidates
+        # committed read 8.6e8
+        a, _, _ = gen_randsvd(RandSvdSpec(n=100, kappa=1e10, mode=1, seed=1))
+        committed, coefficients = [], []
+        measure = solver_module.basis_condition_numbers
+        solve_ls = _LeastSquares.coefficients
+
+        def spy_measure(state, factor, valid_cols=None):
+            committed.append(cond2(state.b_columns()))
+            return measure(state, factor, valid_cols=valid_cols)
+
+        def spy_ls(ls):
+            coefficients.append(solve_ls(ls))
+            return coefficients[-1]
+
+        monkeypatch.setattr(solver_module, "basis_condition_numbers", spy_measure)
+        monkeypatch.setattr(_LeastSquares, "coefficients", spy_ls)
+        res = solve(a, np.ones(100), config=SolverConfig(s=2))
+        assert res.status == "key_dimension_reached"
+        assert res.inner_iterations == 4
+        assert abs(coefficients[-1][-1]) > 1e15
+        assert res.records[-1].cond_B_tilde < 10.0
+        assert committed[-1] > 1e8
 
     def test_moderate_system_fills_space_in_full_blocks(self):
         # no width cut may fire on a merely ill-conditioned system: five
@@ -764,6 +792,16 @@ class TestOperatorApplyCounts:
     ):
         res = self.run("modified", basis, basis_operator)
         assert len(spmv_calls) == 2 * res.inner_iterations + warmup + res.cycles
+
+    @pytest.mark.parametrize("arnoldi,per_block", [("modified", (2, 1)), ("classical", (0, 0))])
+    def test_candidate_counters_run_across_cycles(self, arnoldi, per_block):
+        # the counters live on the solve's one ArnoldiState, which
+        # ``reset`` empties for each cycle without zeroing them
+        res = self.run(arnoldi, "monomial", "plain")
+        assert res.cycles >= 2
+        projections, qrs = per_block
+        assert res.candidate_projections == projections * res.block_steps
+        assert res.candidate_qr_count == qrs * res.block_steps
 
     def test_modified_builds_its_basis_from_the_preconditioned_operator(self):
         # K built from A would leave the span of the M^{-1} A images the

@@ -4,8 +4,9 @@ module imports is used there or exported in its ``__all__``, no
 module but ``dense`` takes a norm with ``np.linalg.norm``, and only
 ``dense.triangular_cond2`` takes an SVD; nothing inverts a matrix. Only
 ``dense`` calls numpy's ``frexp`` and ``ldexp``. Only
-``sparse.text_stream`` opens a file, and the top-level namespace holds
-the documented API and nothing else.
+``sparse.text_stream`` opens a file, only ``solver.solve`` builds an
+``OperatorSet``, and the top-level namespace holds the documented API
+and nothing else.
 
 README promises "Requires numpy only"; the test references may use scipy,
 the package may not. A check that two modules share is given a public
@@ -24,7 +25,11 @@ since each of their columns has unit norm by construction. Scalar
 ``math.frexp`` and ``math.ldexp`` stay outside the rule. Every file
 crosses the package boundary by one rule, a path or an open text
 stream, so no second ``open`` can take another (an int as a file
-descriptor, another encoding).
+descriptor, another encoding). A classical block step takes W's
+leading columns from the images of its Krylov build on the contract
+that the basis operator is ``matvec`` itself or returns M^{-1} A x bit
+for bit; ``solve`` alone builds the operators, so nothing else can hand
+a step one that breaks it.
 """
 
 import ast
@@ -283,17 +288,22 @@ OPEN_ALLOWED = {
 }
 
 
-def open_calls(path):
+def calls_named(path, name):
     """(line, enclosing function) of every call of a function named
-    ``open``: the builtin, ``io.open``, ``os.open`` and the like."""
+    ``name``, bare or as an attribute: for ``open``, the builtin,
+    ``io.open``, ``os.open`` and the like."""
     tree = syntax_tree(path)
     owner = enclosing_functions(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) == "open"
-            or getattr(node.func, "attr", None) == "open"
+            getattr(node.func, "id", None) == name
+            or getattr(node.func, "attr", None) == name
         ):
             yield node.lineno, owner.get(node, "<module>")
+
+
+def open_calls(path):
+    return calls_named(path, "open")
 
 
 def test_only_text_stream_opens_files():
@@ -341,3 +351,33 @@ def test_top_level_exports_the_documented_api():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(TOP_LEVEL_API)
+
+
+# (module, function) -> the number of OperatorSet constructions it may
+# make: solve builds the run's one set, whose basis operator is matvec
+# itself or returns M^{-1} A x bit for bit, which is all the classical
+# step's one rule for W's leading columns rests on
+OPERATOR_SET_ALLOWED = {
+    ("solver.py", "solve"): 1,
+}
+
+
+def operator_set_calls(path):
+    return calls_named(path, "OperatorSet")
+
+
+def test_only_solve_builds_an_operator_set():
+    assert counts_by_function(operator_set_calls) == OPERATOR_SET_ALLOWED
+
+
+def test_operator_set_check_sees_a_reintroduced_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from . import arnoldi\n"
+        "from .arnoldi import OperatorSet\n"
+        "def scaled(a, left):\n"
+        "    mv = lambda x: a @ x\n"
+        "    ops = OperatorSet(mv, left, basis_op=lambda x: 2.0 * mv(x))\n"
+        "    return ops, arnoldi.OperatorSet(mv, left, mv)\n"
+    )
+    assert list(operator_set_calls(str(path))) == [(5, "scaled"), (6, "scaled")]
