@@ -50,15 +50,15 @@ EXIT_NOT_CONVERGED = 2
 # the SVD of its R takes most of the rest
 DENSE_INFO_LIMIT = 500
 
-# solve applies A as an ndarray (GEMV) when it stores at least n^2 / 8
+# solve applies A as an ndarray (GEMV) when it stores at least n^2 / 4
 # entries, else as CSR (spmv). On random matrices the slot-major spmv
-# loses to GEMV from about 10-12.5% density at n = 1000-2000 and from
-# 15-20% at n = 3000, and is 1.6-3.4x slower at 25% (2-core x86-64 VM,
-# one BLAS thread, best of 5). CSR keeps about 40 bytes per entry: 24 for
-# the CSR arrays, 16 for the slot-major copy spmv builds on its first
-# call. The 8 n^2 bytes of dense storage are thus 1.6x CSR's at 12.5%
-# density, equal at 20% and 4/5 of it at 25%.
-DENSE_FILL_DENOMINATOR = 8
+# loses to GEMV from about 10-12.5% density at n = 1000-2000 but only
+# from 15-20% at n = 3000, and is 1.6-3.4x slower at 25% (2-core x86-64
+# VM, one BLAS thread, best of 5). CSR keeps about 40 bytes per entry:
+# 24 for the CSR arrays, 16 for the slot-major copy spmv builds on its
+# first call. The 8 n^2 bytes of dense storage are thus 1.6x CSR's at
+# 12.5% density, equal at 20% and 4/5 of it at 25%.
+DENSE_FILL_DENOMINATOR = 4
 
 CONFIG_FIELDS = dataclasses.fields(SolverConfig)
 

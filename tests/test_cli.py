@@ -581,7 +581,7 @@ def read_bytes(path):
 
 
 class TestMatrixStorage:
-    """solve receives A as an ndarray when it stores at least n^2 / 8
+    """solve receives A as an ndarray when it stores at least n^2 / 4
     entries, and as a CsrMatrix otherwise."""
 
     ARGS = ("--s", "3", "--basis", "newton", "--summary")
@@ -620,10 +620,10 @@ class TestMatrixStorage:
 
     @pytest.mark.parametrize(
         "n, nnz, storage",
-        [(12, 17, CsrMatrix), (12, 18, np.ndarray), (11, 15, CsrMatrix), (11, 16, np.ndarray)],
+        [(8, 15, CsrMatrix), (8, 16, np.ndarray), (7, 12, CsrMatrix), (7, 13, np.ndarray)],
     )
     def test_density_threshold(self, capsys, tmp_path, solve_calls, n, nnz, storage):
-        # n^2 / 8 is 18 at n = 12 and 15.125 at n = 11
+        # n^2 / 4 is 16 at n = 8 and 12.25 at n = 7
         off = [(i, j) for i in range(n) for j in range(n) if i != j][: nnz - n]
         rows = np.array(list(range(n)) + [i for i, _ in off])
         cols = np.array(list(range(n)) + [j for _, j in off])
